@@ -17,9 +17,8 @@ from .diagnostics import (CheckRow, RateFit, ReferencePair, SolutionSet,
                           weighted_ergodic)
 from .errors import (CertificationError, ConfigError, IadmmError,
                      NumericError, StructuralError)
-from .inner import (InnerConfig, InnerResult, InnerTrace, inner_prox_step,
-                    line_search_accept, params_adaptive, params_constant,
-                    run_inner, step1b_check)
+from .inner import (InnerConfig, InnerResult, InnerTrace, line_search_accept,
+                    params_adaptive, params_constant, run_inner)
 from .oracle import certify_reference, solve_qp_kkt, subproblem_minimizer
 from .outer import (History, SolveReport, SolverParams, exact_block_step,
                     gamma_compatible, rho_strong, solve, step2_epsilon,

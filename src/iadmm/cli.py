@@ -38,7 +38,8 @@ def _add_solver_flags(p):
     p.add_argument("--rule", default="adaptive",
                    choices=["constant", "adaptive"])
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-outer", type=int, default=100_000)
+    p.add_argument("--max-outer", type=int, default=None,
+                   help="sweep cap (solve: 100000; rates: 2100, or 450 in strong mode)")
     p.add_argument("--alpha", type=float, default=0.9)
     p.add_argument("--sigma", type=float, default=0.99)
     p.add_argument("--rho", type=float, default=1.0)
@@ -138,7 +139,7 @@ def cmd_rates(args):
         print("problem %s is not strongly convex" % args.problem,
               file=sys.stderr)
         return 1
-    iters = args.max_outer if args.max_outer != 100_000 else (
+    iters = args.max_outer if args.max_outer is not None else (
         450 if mode == "strong" else 2100)
     params = _params_from_args(args, max_outer=iters)
     report = solve(entry.problem, params, ref=entry.reference)
@@ -181,7 +182,7 @@ def build_parser():
     ps = sub.add_parser("solve", help="run the solver on a corpus problem")
     _add_solver_flags(ps)
     ps.add_argument("--out", default="history.csv", help="history CSV path")
-    ps.set_defaults(func=cmd_solve)
+    ps.set_defaults(func=cmd_solve, max_outer=100_000)
 
     pv = sub.add_parser("verify", help="run a named check suite")
     pv.add_argument("--suite", required=True,

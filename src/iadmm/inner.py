@@ -30,16 +30,31 @@ Both rules keep the product ``delta_l * alpha_l * gamma_l`` equal to one,
 where ``gamma_1 = 1 / delta_1`` and ``gamma_l = gamma_{l-1} / (1 - alpha_l)``;
 that invariant is what the outer-loop guarantees rest on.
 
+A block whose smooth term is zero pins ``delta_l`` at ``delta_min``
+and takes ``alpha_l`` from the same accumulator, whatever the rule.
+
+All three cases run through one loop.  The rule picks
+``(delta, alpha)``; one trial then evaluates ``f_i`` and its gradient at
+``a_bar`` in a single fused call (``SmoothTerm.value_grad``), takes the
+prox step with the penalty vectors ``rho gamma_i y_i`` and
+``rho A_i^T (A_i y_i - b_i + lam/rho)`` computed once per loop, and
+forms ``a = (1 - alpha) a_prev + alpha u``.  Only the adaptive rule
+runs the descent test, which costs one more ``f_i`` value at ``a``; its
+backtracking driver :func:`params_adaptive` retries the trial with a
+larger ``delta / alpha`` until the test passes.
+
 The loop stops once ``gamma_l`` has caught up with the previous sweep's
 accuracy weight and the scaled step ``||a_l - x_i|| / sqrt(gamma_l)``
 falls below the forcing threshold derived from the previous outer
-residual.
+residual.  Numeric failures (a non-finite prox step, an exhausted
+backtrack, the iteration cap) raise :class:`NumericError` with the
+inner iteration, and the sweep and block when the caller passes them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -71,23 +86,10 @@ class InnerConfig:
             raise ConfigError("need 0 < delta_min <= delta_max")
         if self.eta <= 1.0:
             raise ConfigError("eta must exceed 1")
-
-
-@dataclass
-class InnerState:
-    """Running state of one inner loop (iteration ``l``)."""
-
-    u_prev: np.ndarray
-    a_prev: np.ndarray
-    u: Optional[np.ndarray] = None
-    a: Optional[np.ndarray] = None
-    a_bar: Optional[np.ndarray] = None
-    delta: float = 0.0
-    alpha: float = 0.0
-    gamma: float = 0.0
-    Lambda: float = 0.0
-    l: int = 0
-    sum_sq: float = 0.0
+        if not self.max_iters >= 1:
+            raise ConfigError("max_iters must be at least 1")
+        if not self.max_backtracks >= 0:
+            raise ConfigError("max_backtracks must be nonnegative")
 
 
 @dataclass
@@ -142,10 +144,8 @@ def line_search_accept(smooth, a_bar, a, delta, alpha, sigma,
     * ||a - a_bar||^2 >= f(a)`` up to a tiny relative slack.  Cached
     values may be passed to avoid re-evaluation.
     """
-    if f_bar is None:
-        f_bar = smooth.value(a_bar)
-    if grad_bar is None:
-        grad_bar = smooth.grad(a_bar)
+    if f_bar is None or grad_bar is None:
+        f_bar, grad_bar = smooth.value_grad(a_bar)
     if f_a is None:
         f_a = smooth.value(a)
     d = a - a_bar
@@ -166,7 +166,7 @@ def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=60):
     """
     for j in range(max_backtracks + 1):
         theta = 1.0 / (delta0 * eta ** j)
-        delta = 2.0 / (theta + np.sqrt(theta * theta + 4.0 * theta * Lambda_prev))
+        delta = 2.0 / (theta + math.sqrt(theta * theta + 4.0 * theta * Lambda_prev))
         alpha = 1.0 / (1.0 + delta * Lambda_prev)
         ok, payload = accept(delta, alpha)
         if ok:
@@ -175,41 +175,6 @@ def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=60):
         "descent test failed after %d backtracks" % max_backtracks,
         context={"routine": "params_adaptive", "delta0": delta0},
     )
-
-
-def _prox_step(grad, u_prev, y_i, w_pen, delta, rho, gamma_i, nonsmooth):
-    """Exact minimizer of the linearized subproblem (see module docstring).
-
-    ``w_pen = A_i^T (A_i y_i - b_i + lam / rho)`` is constant within one
-    inner loop and is precomputed by the caller.
-    """
-    scale = delta + rho * gamma_i
-    v = (delta * u_prev + rho * gamma_i * y_i - grad - rho * w_pen) / scale
-    u = nonsmooth.prox(v, 1.0 / scale)
-    if not np.all(np.isfinite(u)):
-        raise NumericError("prox step produced non-finite values",
-                           context={"routine": "inner_prox_step"})
-    return u
-
-
-def inner_prox_step(op, grad, u_prev, y_i, b_i, lam, delta, rho, gamma_i, nonsmooth):
-    """Public single prox step; computes the constant penalty vector itself."""
-    w_pen = op.adjoint(op.apply(y_i) - b_i + lam / rho)
-    return _prox_step(grad, u_prev, y_i, w_pen, delta, rho, gamma_i, nonsmooth)
-
-
-def step1b_check(gamma_l, Gamma_prev, a_l, x_k, psi, eps_prev):
-    """Stopping test: accuracy weight caught up and scaled step small enough.
-
-    Returns ``True`` when ``gamma_l >= Gamma_prev`` and
-    ``||a_l - x_k|| <= psi(eps_prev) * sqrt(gamma_l)``.  With
-    ``eps_prev = inf`` the second condition is vacuous, so the first
-    sweep of a solve stops after a single inner iteration.
-    """
-    if gamma_l < Gamma_prev:
-        return False
-    thr = psi(eps_prev)
-    return float(np.linalg.norm(a_l - x_k)) <= thr * np.sqrt(gamma_l)
 
 
 def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
@@ -238,8 +203,9 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         Stronger lower bound on ``gamma_l`` than ``Gamma_prev`` (used by
         the growing-penalty mode to keep ``k / Gamma_k`` nonincreasing).
     force_iters : int, optional
-        Run exactly this many iterations and skip the stopping test
-        (used by invariant checks and the single-step benchmark mode).
+        Run exactly this many iterations (at least one) and skip the
+        stopping test (used by invariant checks and the single-step
+        benchmark mode).
     trace : bool
         Also return an :class:`InnerTrace` with per-iteration records.
     ctx : tuple, optional
@@ -249,97 +215,92 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
     -------
     (InnerResult, InnerTrace or None)
     """
-    smooth, nonsmooth, op = block.smooth, block.nonsmooth, block.op
+    smooth, op, prox = block.smooth, block.op, block.nonsmooth.prox
     zeta = smooth.lipschitz
     zero_f = (zeta == 0.0)
     if not zero_f and cfg.rule == "constant" and (zeta is None or zeta <= 0.0):
         raise ConfigError("constant rule needs a positive Lipschitz bound for nonzero smooth terms")
+    if force_iters is not None and force_iters < 1:
+        raise ConfigError("force_iters must be at least 1")
+    adaptive = cfg.rule == "adaptive" and not zero_f
+    value_grad, sigma = smooth.value_grad, cfg.sigma
 
     x_i = np.asarray(x_i, dtype=np.float64)
-    st = InnerState(u_prev=x_i.copy(), a_prev=x_i.copy())
-    w_pen = op.adjoint(op.apply(y_i) - b_i + lam / rho)
+    # the two penalty terms of the prox step are fixed for the whole loop
+    rg = rho * gamma_i
+    ry = rho * gamma_i * y_i
+    rw = rho * op.adjoint(op.apply(y_i) - b_i + lam / rho)
     floor = Gamma_prev if gamma_floor is None else gamma_floor
     delta0 = min(max(1.0, cfg.delta_min), cfg.delta_max)
+    u_prev = a_prev = x_i
+    gamma = Lambda = sum_sq = 0.0
+    backtracks = l = 0
     tr = InnerTrace() if trace else None
     if tr is not None:
-        tr.us.append(st.u_prev.copy())
+        tr.us.append(x_i.copy())
 
-    max_l = force_iters if force_iters is not None else cfg.max_iters
-    stopped = False
-    for l in range(1, max_l + 1):
-        st.l = l
-        backtracks = 0
-        if zero_f:
-            # pinned proximal weight; the mixing weight keeps the
-            # delta * alpha * gamma product at one for any delta sequence
-            delta = cfg.delta_min
-            alpha = 1.0 if l == 1 else 1.0 / (1.0 + delta * st.Lambda)
-            a_bar = (1.0 - alpha) * st.a_prev + alpha * st.u_prev
-            grad = smooth.grad(a_bar)
-            u = _prox_step(grad, st.u_prev, y_i, w_pen, delta, rho, gamma_i, nonsmooth)
-            a = (1.0 - alpha) * st.a_prev + alpha * u
-        elif cfg.rule == "constant":
-            delta, alpha = params_constant(l, zeta, cfg.sigma)
-            a_bar = (1.0 - alpha) * st.a_prev + alpha * st.u_prev
-            grad = smooth.grad(a_bar)
-            u = _prox_step(grad, st.u_prev, y_i, w_pen, delta, rho, gamma_i, nonsmooth)
-            a = (1.0 - alpha) * st.a_prev + alpha * u
+    def trial(delta, alpha):
+        # prox step of the linearized subproblem at ``a_bar``; only the
+        # adaptive rule needs the descent test
+        a_bar = (1.0 - alpha) * a_prev + alpha * u_prev
+        f_bar, g = value_grad(a_bar)
+        scale = delta + rg
+        u = prox((delta * u_prev + ry - g - rw) / scale, 1.0 / scale)
+        if not np.isfinite(u).all():
+            raise NumericError("prox step produced non-finite values",
+                               context={"routine": "run_inner"})
+        a = (1.0 - alpha) * a_prev + alpha * u
+        ok = not adaptive or line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, g)
+        return ok, (u, a)
+
+    stop = force_iters is None
+    try:
+        for l in range(1, (cfg.max_iters if stop else force_iters) + 1):
+            if adaptive:
+                delta, alpha, backtracks, (u, a) = params_adaptive(
+                    Lambda, delta0, cfg.eta, trial, cfg.max_backtracks)
+                delta0 = min(max((delta / alpha) / cfg.eta, cfg.delta_min), cfg.delta_max)
+            else:
+                if zero_f:
+                    # pinned proximal weight; the mixing weight keeps the
+                    # delta * alpha * gamma product at one for any delta sequence
+                    delta = cfg.delta_min
+                    alpha = 1.0 if l == 1 else 1.0 / (1.0 + delta * Lambda)
+                else:
+                    delta, alpha = params_constant(l, zeta, sigma)
+                u, a = trial(delta, alpha)[1]
+
+            gamma = 1.0 / delta if l == 1 else gamma / (1.0 - alpha)
+            d = u - u_prev
+            dsq = float(d @ d)
+            sum_sq += dsq
+            Lambda += 1.0 / delta
+
+            if tr is not None:
+                tr.deltas.append(delta)
+                tr.alphas.append(alpha)
+                tr.gammas.append(gamma)
+                tr.xis.append(delta * alpha * gamma)
+                tr.us.append(u.copy())
+                tr.a_s.append(a.copy())
+                tr.step_sq.append(dsq)
+                tr.backtracks.append(backtracks)
+
+            if stop and gamma >= floor:
+                d = a - x_i
+                if math.sqrt(float(d @ d)) <= psi_eps * math.sqrt(gamma):
+                    break
+            u_prev, a_prev = u, a
         else:
-            def accept(dl, al):
-                a_bar = (1.0 - al) * st.a_prev + al * st.u_prev
-                f_bar = smooth.value(a_bar)
-                g_bar = smooth.grad(a_bar)
-                u = _prox_step(g_bar, st.u_prev, y_i, w_pen, dl, rho, gamma_i, nonsmooth)
-                a = (1.0 - al) * st.a_prev + al * u
-                ok = line_search_accept(smooth, a_bar, a, dl, al, cfg.sigma,
-                                        f_bar=f_bar, grad_bar=g_bar)
-                return ok, (a_bar, u, a)
-
-            try:
-                delta, alpha, backtracks, payload = params_adaptive(
-                    st.Lambda, delta0, cfg.eta, accept, cfg.max_backtracks)
-            except NumericError as err:
-                err.context.update(_ctx(ctx, l))
-                raise
-            a_bar, u, a = payload
-            delta0 = min(max((delta / alpha) / cfg.eta, cfg.delta_min), cfg.delta_max)
-
-        st.delta, st.alpha, st.a_bar = delta, alpha, a_bar
-        st.gamma = 1.0 / delta if l == 1 else st.gamma / (1.0 - alpha)
-        step = u - st.u_prev
-        dsq = float(step @ step)
-        st.sum_sq += dsq
-        st.Lambda += 1.0 / delta
-        st.u, st.a = u, a
-
-        if tr is not None:
-            tr.deltas.append(delta)
-            tr.alphas.append(alpha)
-            tr.gammas.append(st.gamma)
-            tr.xis.append(delta * alpha * st.gamma)
-            tr.us.append(u.copy())
-            tr.a_s.append(a.copy())
-            tr.step_sq.append(dsq)
-            tr.backtracks.append(backtracks)
-
-        if force_iters is None:
-            if st.gamma >= floor and float(np.linalg.norm(a - x_i)) <= psi_eps * np.sqrt(st.gamma):
-                stopped = True
-                break
-        elif l == max_l:
-            stopped = True
-            break
-        st.u_prev, st.a_prev = u, a
-
-    if not stopped:
-        raise NumericError(
-            "inner loop hit its iteration cap (%d)" % cfg.max_iters,
-            context=_ctx(ctx, st.l),
-            best=InnerResult(st.u, st.a, st.gamma, st.sum_sq / st.gamma, st.l),
-        )
-    res = InnerResult(x_next=st.u, z=st.a, Gamma=st.gamma,
-                      r=st.sum_sq / st.gamma, iters=st.l)
-    return res, tr
+            if stop:
+                raise NumericError(
+                    "inner loop hit its iteration cap (%d)" % cfg.max_iters,
+                    best=InnerResult(u, a, gamma, sum_sq / gamma, l))
+    except NumericError as err:
+        # every numeric failure names the sweep, block and inner iteration
+        err.context.update(_ctx(ctx, l))
+        raise
+    return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l), tr
 
 
 def _ctx(ctx, l):

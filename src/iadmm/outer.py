@@ -88,14 +88,21 @@ class SolverParams:
             raise ConfigError("sigma must lie strictly between 0 and 1")
         if min(self.theta1, self.theta2, self.theta3) <= 0.0:
             raise ConfigError("residual weights theta1..3 must be positive")
-        if self.rho <= 0.0:
+        # written as ``not x >= bound`` so that nan is rejected too
+        if not self.rho > 0.0:
             raise ConfigError("rho must be positive")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ConfigError("tol must be nonnegative")
         if self.gamma_mode not in ("power", "safeguard"):
             raise ConfigError("unknown gamma_mode %r" % (self.gamma_mode,))
+        if not self.gamma_factor > 1.0:
+            raise ConfigError("gamma_factor must exceed 1")
         if self.max_outer < 1:
             raise ConfigError("max_outer must be at least 1")
+        if not self.inner_cap >= 1:
+            raise ConfigError("inner_cap must be at least 1")
+        if not self.max_backtracks >= 0:
+            raise ConfigError("max_backtracks must be nonnegative")
         if self.c_psi <= 0.0:
             raise ConfigError("c_psi must be positive")
 

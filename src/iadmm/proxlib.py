@@ -28,6 +28,13 @@ class SmoothTerm:
     ``modulus`` is a strong-convexity modulus (``0`` if merely convex).
     ``hessian`` and ``linear`` are set for quadratics so oracles can use
     direct solves.
+
+    ``value_grad(x)`` returns ``(value(x), grad(x))`` from one fused
+    evaluation that shares the work of the two, such as ``H x`` of a
+    quadratic or the residual ``F u - f`` of a least-squares term; the
+    inner loop calls it once per trial.  Its results must be bitwise
+    those of ``value`` and ``grad``.  A term built without one gets
+    ``value`` and ``grad`` composed.
     """
 
     value: Callable[[np.ndarray], float]
@@ -36,6 +43,12 @@ class SmoothTerm:
     modulus: float = 0.0
     hessian: Optional[np.ndarray] = None
     linear: Optional[np.ndarray] = None
+    value_grad: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def __post_init__(self):
+        if self.value_grad is None:
+            value, grad = self.value, self.grad
+            self.value_grad = lambda x: (value(x), grad(x))
 
     @property
     def is_zero(self):
@@ -108,6 +121,7 @@ def zero_smooth():
         grad=np.zeros_like,
         lipschitz=0.0,
         modulus=0.0,
+        value_grad=lambda x: (0.0, np.zeros_like(x)),
     )
 
 
@@ -130,8 +144,13 @@ def quadratic(H, c, modulus=0.0):
     def grad(x):
         return H @ x + c
 
+    def value_grad(x):
+        Hx = H @ x
+        return float(0.5 * (x @ Hx) + c @ x), Hx + c
+
     return SmoothTerm(value=value, grad=grad, lipschitz=lip,
-                      modulus=float(modulus), hessian=H, linear=c.copy())
+                      modulus=float(modulus), hessian=H, linear=c.copy(),
+                      value_grad=value_grad)
 
 
 def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
@@ -164,9 +183,14 @@ def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
     def grad(u):
         return F.adjoint(F.apply(u) - f)
 
+    def value_grad(u):
+        r = F.apply(u) - f
+        return float(0.5 * (r @ r)), F.adjoint(r)
+
     return SmoothTerm(value=value, grad=grad, lipschitz=float(lipschitz),
                       modulus=float(modulus), hessian=FtF,
-                      linear=None if FtF is None else -F.adjoint(f))
+                      linear=None if FtF is None else -F.adjoint(f),
+                      value_grad=value_grad)
 
 
 def zero_prox():

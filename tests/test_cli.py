@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+import iadmm.cli
 from iadmm.cli import main
+from iadmm.errors import NumericError
 from iadmm.outer import HISTORY_COLUMNS
 
 
@@ -120,3 +122,24 @@ def test_rates_strong_mode_needs_strong_problem(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "not strongly convex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,expect", [
+    ([], 2100),
+    (["--mode", "strong", "--problem", "qp-2-m2-mu0.5"], 450),
+    (["--max-outer", "100000"], 100_000),
+    (["--max-outer", "7"], 7),
+])
+def test_rates_max_outer_default_and_override(tmp_path, monkeypatch, argv, expect):
+    # the horizon defaults per mode, and any explicit value is kept
+    seen = []
+
+    def fake_solve(problem, params, ref=None):
+        seen.append(params.max_outer)
+        raise NumericError("stop before solving")
+
+    monkeypatch.setattr(iadmm.cli, "solve", fake_solve)
+    problem = [] if "--problem" in argv else ["--problem", "qp-2-m2"]
+    rc = main(["rates"] + problem + argv + ["--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert seen == [expect]

@@ -7,16 +7,15 @@ from iadmm.blockspace import DenseMap
 from iadmm.errors import ConfigError, NumericError
 from iadmm.inner import (
     InnerConfig,
-    inner_prox_step,
     line_search_accept,
     params_adaptive,
     params_constant,
     run_inner,
-    step1b_check,
 )
 from iadmm.oracle import subproblem_minimizer
 from iadmm.problem import Block
-from iadmm.proxlib import l1_prox, quadratic, soft_threshold, zero_prox
+from iadmm.proxlib import (ProxTerm, l1_prox, quadratic, soft_threshold, zero_prox,
+                           zero_smooth)
 
 
 def _block(seed, dim=6, mu=0.5, weight=0.1):
@@ -120,39 +119,65 @@ def test_params_adaptive_exhaustion_raises():
 
 
 def test_prox_step_stationarity_and_l1_formula():
-    # the returned point must satisfy the prox optimality condition of the
-    # linearized subproblem; for l1 it is plain soft thresholding
-    rng = np.random.default_rng(0xA7)
-    dim = 5
-    blk = _block(7, dim=dim, weight=0.3)
+    # every iterate must satisfy the prox optimality condition of its
+    # linearized subproblem; for l1 it is plain soft thresholding of the
+    # linearized point, rebuilt here from the trace
+    blk = _block(7, dim=5, weight=0.3)
     x_i, y_i, lam, b_i = _inner_inputs(7, blk)
-    u_prev = rng.standard_normal(dim)
-    a_bar = rng.standard_normal(dim)
-    grad = blk.smooth.grad(a_bar)
-    delta, rho, gamma_i = 1.3, 0.9, 2.0
-    u = inner_prox_step(blk.op, grad, u_prev, y_i, b_i, lam, delta, rho,
-                        gamma_i, blk.nonsmooth)
-    scale = delta + rho * gamma_i
+    rho, gamma_i = 0.9, 2.0
     w_pen = blk.op.adjoint(blk.op.apply(y_i) - b_i + lam / rho)
-    v = (delta * u_prev + rho * gamma_i * y_i - grad - rho * w_pen) / scale
-    assert np.allclose(u, soft_threshold(v, 0.3 / scale), atol=1e-12)
+    L = 6
+    for rule in ("constant", "adaptive"):
+        _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i,
+                          InnerConfig(rule=rule, sigma=0.9), Gamma_prev=0.0,
+                          psi_eps=np.inf, force_iters=L, trace=True)
+        a_prev = x_i
+        for l in range(L):
+            delta, alpha, u_prev = tr.deltas[l], tr.alphas[l], tr.us[l]
+            grad = blk.smooth.grad((1.0 - alpha) * a_prev + alpha * u_prev)
+            scale = delta + rho * gamma_i
+            v = (delta * u_prev + rho * gamma_i * y_i - grad - rho * w_pen) / scale
+            assert np.allclose(tr.us[l + 1], soft_threshold(v, 0.3 / scale), atol=1e-12)
+            a_prev = tr.a_s[l]
 
 
 def test_step1b_check_arithmetic():
-    ident = lambda t: t
-    # gamma floor not met -> keep going regardless of the gap
-    assert not step1b_check(1.0, 2.0, np.zeros(2), np.zeros(2),
-                            psi=ident, eps_prev=1.0)
-    # floor met and ||a - x|| = 0.5 <= psi(1)*sqrt(4) = 2 -> stop
-    a = np.array([0.5, 0.0])
-    x = np.zeros(2)
-    assert step1b_check(4.0, 2.0, a, x, psi=ident, eps_prev=1.0)
-    # gap 3 > 2 -> continue
-    assert not step1b_check(4.0, 2.0, np.array([3.0, 0.0]), x,
-                            psi=ident, eps_prev=1.0)
-    # infinite tolerance accepts any gap once the floor is met
-    assert step1b_check(4.0, 2.0, np.array([1e9, 0.0]), x,
-                        psi=ident, eps_prev=np.inf)
+    # the loop stops at the first l with gamma_l >= floor and
+    # ||a_l - x_i|| <= psi_eps * sqrt(gamma_l); a forced run of the same
+    # loop gives the trace to recompute that index from
+    blk = _block(35)
+    x_i, y_i, lam, b_i = _inner_inputs(35, blk)
+    cfg = InnerConfig(rule="adaptive", sigma=0.9)
+    _, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+                      Gamma_prev=0.0, psi_eps=np.inf, force_iters=200, trace=True)
+    gammas = np.asarray(tr.gammas)
+    gaps = np.array([np.linalg.norm(a - x_i) for a in tr.a_s])
+
+    def first(floor, psi):
+        ok = (gammas >= floor) & (gaps <= psi * np.sqrt(gammas))
+        return int(np.argmax(ok)) + 1
+
+    psi = gaps[29] / np.sqrt(gammas[29]) * (1.0 + 1e-9)
+    cases = [
+        (0.0, None, np.inf, 1),        # infinite tolerance: stop at once
+        (gammas[9], None, np.inf, 10),  # the floor is met exactly at l = 10
+        (0.0, gammas[14], np.inf, 15),  # gamma_floor overrides Gamma_prev
+        (0.0, None, psi, None),         # only the scaled step binds
+        (gammas[39], None, psi, 40),    # the floor binds after the step
+    ]
+    for Gamma_prev, gamma_floor, psi_eps, expect in cases:
+        floor = Gamma_prev if gamma_floor is None else gamma_floor
+        want = first(floor, psi_eps)
+        if expect is not None:
+            assert want == expect
+        else:
+            assert 1 < want <= 30
+        res, _ = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+                           Gamma_prev=Gamma_prev, gamma_floor=gamma_floor,
+                           psi_eps=psi_eps)
+        assert res.iters == want
+        assert res.Gamma == tr.gammas[want - 1]
+        assert np.array_equal(res.z, tr.a_s[want - 1])
 
 
 def test_run_inner_fixed_point_stops_immediately():
@@ -266,6 +291,43 @@ def test_run_inner_cap_raises_with_context():
     assert info.value.context["outer_iteration"] == 4
     assert info.value.context["block"] == 1
     assert info.value.best is not None
+
+
+def test_run_inner_force_iters_must_be_positive():
+    blk = _block(33)
+    x_i, y_i, lam, b_i = _inner_inputs(33, blk)
+    with pytest.raises(ConfigError, match="force_iters"):
+        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, InnerConfig(),
+                  Gamma_prev=0.0, psi_eps=np.inf, force_iters=0)
+
+
+@pytest.mark.parametrize("rule", ["constant", "adaptive"])
+@pytest.mark.parametrize("zero_f", [False, True])
+def test_non_finite_prox_step_raises_with_context(rule, zero_f):
+    blk = _block(37)
+    if zero_f:
+        blk = Block(zero_smooth(), blk.nonsmooth, blk.op)
+    calls = []
+
+    def bad_prox(v, tau):
+        calls.append(1)
+        return np.full_like(v, np.nan) if len(calls) == 3 else v
+
+    blk = Block(blk.smooth, ProxTerm(value=lambda y: 0.0, prox=bad_prox), blk.op)
+    x_i, y_i, lam, b_i = _inner_inputs(37, blk)
+    with pytest.raises(NumericError, match="non-finite") as info:
+        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, InnerConfig(rule=rule),
+                  Gamma_prev=0.0, psi_eps=np.inf, force_iters=10, ctx=(7, 2))
+    ctx = info.value.context
+    assert (ctx["outer_iteration"], ctx["block"]) == (7, 2)
+    assert 1 <= ctx["inner_iteration"] <= 3
+
+
+@pytest.mark.parametrize("field", ["max_iters", "max_backtracks"])
+def test_inner_config_rejects_bad_counts(field):
+    bad = {"max_iters": 0, "max_backtracks": -1}[field]
+    with pytest.raises(ConfigError, match=field):
+        InnerConfig(**{field: bad})
 
 
 def test_inner_config_validation():

@@ -1,0 +1,146 @@
+"""The inner loop against its frozen three-branch reference, bit for bit."""
+
+import struct
+
+import numpy as np
+import pytest
+
+import iadmm.outer
+from iadmm.blockspace import DenseMap
+from iadmm.errors import NumericError
+from iadmm.inner import InnerConfig, run_inner
+from iadmm.outer import SolverParams, solve
+from iadmm.problem import Block
+from iadmm.problems import from_id
+from iadmm.proxlib import (group_l2_prox, l1_prox, pair_groups, quadratic,
+                           quadratic_smooth, zero_prox, zero_smooth)
+from reference_inner import run_inner_reference
+
+DIM = 6
+PROXES = {
+    "l1": lambda: l1_prox(0.2),
+    "group": lambda: group_l2_prox(0.2, pair_groups(DIM // 2)),
+    "zero": zero_prox,
+}
+
+
+def _smooth(kind, rng):
+    if kind == "zero":
+        return zero_smooth()
+    G = rng.standard_normal((DIM + 3, DIM))
+    if kind == "quadratic":
+        # curvature well above the first trial's delta/alpha = 1, so the
+        # adaptive rule backtracks
+        return quadratic(4.0 * G.T @ G + 0.1 * np.eye(DIM), rng.standard_normal(DIM))
+    return quadratic_smooth(DenseMap(2.0 * G), rng.standard_normal(DIM + 3))
+
+
+def _setup(smooth_kind, prox_kind, seed):
+    rng = np.random.default_rng([seed, len(smooth_kind), len(prox_kind)])
+    A = DenseMap(rng.standard_normal((DIM + 2, DIM)) / np.sqrt(DIM))
+    blk = Block(_smooth(smooth_kind, rng), PROXES[prox_kind](), A)
+    y_i = rng.standard_normal(DIM)
+    x_i = y_i + rng.standard_normal(DIM)
+    lam = rng.standard_normal(A.rows)
+    b_i = rng.standard_normal(A.rows)
+    return blk, (x_i, y_i, lam, b_i, 1.3, 2.0)
+
+
+def _bits(v):
+    # exact bit pattern: tells -0.0 from 0.0 and compares nan payloads
+    if isinstance(v, np.ndarray):
+        return (v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    return struct.pack("<d", float(v))
+
+
+def _assert_same(new, ref):
+    (res, tr), (res_ref, tr_ref) = new, ref
+    for name in ("x_next", "z", "Gamma", "r", "iters"):
+        assert _bits(getattr(res, name)) == _bits(getattr(res_ref, name)), name
+    assert (tr is None) == (tr_ref is None)
+    if tr is not None:
+        for name in ("deltas", "alphas", "gammas", "xis", "us", "a_s", "step_sq",
+                     "backtracks"):
+            got, want = getattr(tr, name), getattr(tr_ref, name)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], name
+
+
+CASES = [(s, p, r) for s in ("quadratic", "least-squares", "zero")
+         for p in PROXES for r in ("constant", "adaptive")]
+
+
+@pytest.mark.parametrize("smooth_kind,prox_kind,rule", CASES)
+def test_forced_run_matches_reference(smooth_kind, prox_kind, rule):
+    blk, args = _setup(smooth_kind, prox_kind, 1)
+    cfg = InnerConfig(rule=rule, sigma=0.9)
+    kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=40, trace=True)
+    new = run_inner(blk, *args, cfg, **kw)
+    _assert_same(new, run_inner_reference(blk, *args, cfg, **kw))
+    if rule == "adaptive" and smooth_kind != "zero":
+        assert sum(new[1].backtracks) > 0
+
+
+@pytest.mark.parametrize("smooth_kind,prox_kind,rule", CASES)
+def test_stopped_run_matches_reference(smooth_kind, prox_kind, rule):
+    blk, args = _setup(smooth_kind, prox_kind, 2)
+    cfg = InnerConfig(rule=rule, sigma=0.9)
+    # a zero smooth term starts at gamma = 1 / delta_min = 1e6, so its
+    # floors and thresholds are scaled to still need several iterations
+    g, p = (2e7, 1e-3) if smooth_kind == "zero" else (1.0, 1.0)
+    for trace in (False, True):
+        for Gamma_prev, gamma_floor, psi_eps in ((0.0, None, np.inf), (0.5, None, 2.0),
+                                                 (0.5, 3.0, 0.5)):
+            kw = dict(Gamma_prev=g * Gamma_prev, psi_eps=p * psi_eps, trace=trace,
+                      gamma_floor=None if gamma_floor is None else g * gamma_floor)
+            _assert_same(run_inner(blk, *args, cfg, **kw),
+                         run_inner_reference(blk, *args, cfg, **kw))
+
+
+@pytest.mark.parametrize("rule", ["constant", "adaptive"])
+def test_cap_error_matches_reference(rule):
+    blk, args = _setup("quadratic", "l1", 3)
+    cfg = InnerConfig(rule=rule, sigma=0.9, max_iters=5)
+    errs = []
+    for fn in (run_inner, run_inner_reference):
+        with pytest.raises(NumericError) as info:
+            fn(blk, *args, cfg, Gamma_prev=0.0, psi_eps=0.0, ctx=(3, 1))
+        errs.append(info.value)
+    assert str(errs[0]) == str(errs[1])
+    assert errs[0].context == errs[1].context
+    _assert_same((errs[0].best, None), (errs[1].best, None))
+
+
+HISTORY_FIELDS = ("k", "eps", "feas", "yz_gap", "R", "obj", "rho", "gamma1", "kkt",
+                  "q_gap_sq", "erg_obj", "E", "delta_gap", "erg_gap", "w_gap", "y_err_sq")
+
+
+def _history_bits(h):
+    out = {}
+    for name in HISTORY_FIELDS:
+        arr = getattr(h, name)
+        out[name] = None if arr is None else _bits(np.asarray(arr))
+    out["Gammas"] = [tuple(_bits(g) for g in row) for row in h.Gammas]
+    return out
+
+
+@pytest.fixture(scope="module", params=["qp-1-m2", "lasso-1"])
+def entry(request):
+    return from_id(request.param)
+
+
+def _solve_bits(entry):
+    rep = solve(entry.problem, SolverParams(), ref=entry.reference)
+    return (_history_bits(rep.history), _bits(rep.z.to_flat()), _bits(rep.lam),
+            rep.cause, rep.iterations)
+
+
+def test_solve_is_bitwise_repeatable(entry):
+    assert _solve_bits(entry) == _solve_bits(entry)
+
+
+def test_solve_matches_reference_loop(entry, monkeypatch):
+    new = _solve_bits(entry)
+    monkeypatch.setattr(iadmm.outer, "run_inner", run_inner_reference)
+    assert _solve_bits(entry) == new

@@ -128,6 +128,20 @@ def test_solver_params_validation():
         SolverParams(tol=-1.0)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("inner_cap", 0),
+    ("max_backtracks", -1),
+    ("tol", float("nan")),
+    ("rho", float("nan")),
+    ("gamma_factor", 0.5),
+])
+def test_solver_params_rejects_bad_field(field, bad):
+    # each bad value is refused when the parameters are built, with the
+    # field named, instead of failing (or silently running on) in a solve
+    with pytest.raises(ConfigError, match=field):
+        SolverParams(gamma_mode="safeguard", **{field: bad})
+
+
 def test_exact_zero_termination_on_integer_fixture():
     # starting at the solution, every quantity in the combined residual
     # is exactly zero in floating point, which trips the bitwise test

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from iadmm.blockspace import DenseMap
 from iadmm.errors import ConfigError, StructuralError
 from iadmm.proxlib import (
+    SmoothTerm,
     box_prox,
     group_l2_prox,
     group_shrink,
@@ -174,3 +176,22 @@ def test_zero_smooth_is_flagged():
     x = np.ones(4)
     assert term.value(x) == 0.0
     assert np.array_equal(term.grad(x), np.zeros(4))
+
+
+def test_value_grad_is_bitwise_value_and_grad():
+    # the fused evaluation must reproduce the separate calls exactly, and
+    # a term built without one gets them composed
+    rng = np.random.default_rng(0xF5)
+    G = rng.standard_normal((7, 5))
+    terms = [
+        quadratic(G.T @ G, rng.standard_normal(5)),
+        quadratic_smooth(DenseMap(G), rng.standard_normal(7)),
+        zero_smooth(),
+        SmoothTerm(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x),
+    ]
+    for term in terms:
+        for _ in range(5):
+            x = rng.standard_normal(5)
+            f, g = term.value_grad(x)
+            assert np.float64(f).tobytes() == np.float64(term.value(x)).tobytes()
+            assert g.tobytes() == term.grad(x).tobytes()
