@@ -7,14 +7,12 @@ driven by the outer residual, and a triangular corrective step that
 makes the sweep order harmless.
 """
 
-from .blockspace import (BlockTriangular, BlockVector, ComposedMap, DenseMap,
-                         Grad2D, HaarMap, LinearMap, ScaledIdentity, VStack,
-                         ZeroMap, load_dense, load_vector, save_dense,
-                         save_vector, spectral_norm)
-from .diagnostics import (CheckRow, RateFit, ReferencePair, SolutionSet,
-                          distance_energy_star, energy, ergodic_average,
-                          kkt_error, lagrangian_gap, rate_fit, two_step_ratio,
-                          weighted_ergodic)
+from .blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D,
+                         HaarMap, LinearMap, ScaledIdentity, VStack, ZeroMap,
+                         load_dense, load_vector, save_dense, save_vector,
+                         spectral_norm)
+from .diagnostics import (CheckRow, RateFit, ReferencePair, energy, kkt_error,
+                          lagrangian_gap, rate_fit, two_step_ratio)
 from .errors import (CertificationError, ConfigError, IadmmError,
                      NumericError, StructuralError)
 from .inner import (InnerConfig, InnerResult, InnerTrace, line_search_accept,
@@ -23,9 +21,9 @@ from .oracle import certify_reference, solve_qp_kkt, subproblem_minimizer
 from .outer import (History, SolveReport, SolverParams, exact_block_step,
                     gamma_compatible, rho_strong, solve, step2_epsilon,
                     step3_update)
-from .problem import Block, ProblemSpec, apply_A
+from .problem import Block, ProblemSpec
 from .problems import (CorpusEntry, SeparableBlur, from_id, gaussian_kernel,
-                       gen_imaging, gen_lasso, gen_qp, read_pgm, write_pgm)
+                       gen_imaging, gen_lasso, gen_qp)
 from .proxlib import (ProxTerm, SmoothTerm, box_prox, group_l2_prox,
                       group_shrink, l1_prox, pair_groups, project_box,
                       quadratic, quadratic_smooth, soft_threshold, zero_prox,

@@ -8,10 +8,12 @@ corrective back-substitution step, and deterministic power-iteration
 spectral-norm estimation.
 
 ``M`` has diagonal blocks ``gamma_i * I`` and subdiagonal blocks
-``A_i^T A_j`` (j < i).  It is never formed densely: products with ``M``
-and ``M^T``, the solve against ``M^T``, and norms in the induced metric
-``P = M Q^{-1} M^T`` (with ``Q = diag(gamma_i I)``) are all evaluated
-block by block with ``O(m)`` operator applications.
+``A_i^T A_j`` (j < i).  The solver never forms it densely: products with
+``M`` and ``M^T``, the solve against ``M^T``, and norms in the induced
+metric ``P = M Q^{-1} M^T`` (with ``Q = diag(gamma_i I)``) are all
+evaluated block by block with ``O(m)`` operator applications.  Its one
+dense assembly, ``BlockTriangular.to_dense``, serves desk-scale
+generators and checks.
 """
 
 from __future__ import annotations
@@ -367,26 +369,6 @@ class VStack(LinearMap):
         return out
 
 
-class ComposedMap(LinearMap):
-    """Composition ``outer o inner``."""
-
-    kind = "composition"
-
-    def __init__(self, outer, inner):
-        if outer.cols != inner.rows:
-            raise StructuralError("composition mismatch: %d vs %d" % (outer.cols, inner.rows))
-        self.outer = outer
-        self.inner = inner
-        self.rows = outer.rows
-        self.cols = inner.cols
-
-    def apply(self, x):
-        return self.outer.apply(self.inner.apply(self._check_in(x)))
-
-    def adjoint(self, w):
-        return self.inner.adjoint(self.outer.adjoint(self._check_out(w)))
-
-
 class _SymmetricCallable(LinearMap):
     """Wrap a self-adjoint callable on R^n as a LinearMap (for norms)."""
 
@@ -470,6 +452,17 @@ class BlockTriangular:
     def _check(self, x):
         if x.dims != self.dims:
             raise StructuralError("block vector does not match the triangular system")
+
+    def to_dense(self):
+        """Dense ``M``, assembled from each operator's ``to_dense``."""
+        mats = [op.to_dense() for op in self.ops]
+        offs = np.cumsum((0,) + self.dims)
+        out = np.zeros((offs[-1], offs[-1]))
+        for i, Ai in enumerate(mats):
+            out[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = self.gammas[i] * np.eye(self.dims[i])
+            for j in range(i):
+                out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = Ai.T @ mats[j]
+        return out
 
     def apply_mt(self, d):
         """Product ``M^T d`` (block upper triangular)."""

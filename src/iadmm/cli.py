@@ -9,13 +9,14 @@ failure).
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
 
 import numpy as np
 
-from .diagnostics import all_passed, rate_fit, two_step_ratio, write_check_csv
+from .diagnostics import all_passed, two_step_ratio, write_check_csv
 from .errors import IadmmError
 from .outer import SolverParams, solve
 from .problems import from_id
@@ -23,6 +24,7 @@ from .suites import (
     ERGODIC_SLOPE,
     STRONG_SLOPE,
     SUITES,
+    _floored_fit,
     run_suite,
 )
 
@@ -61,18 +63,8 @@ def _manifest(args, params, report):
         "problem": args.problem,
         "seed": args.seed,
         "out": args.out,
-        "params": {
-            "mode": params.mode, "rule": params.rule, "rho": params.rho,
-            "mu": params.mu, "alpha": params.alpha, "sigma": params.sigma,
-            "theta1": params.theta1, "theta2": params.theta2,
-            "theta3": params.theta3, "delta_min": params.delta_min,
-            "delta_max": params.delta_max, "eta": params.eta,
-            "c_psi": params.c_psi, "tol": params.tol,
-            "max_outer": params.max_outer, "gamma_mode": params.gamma_mode,
-            "gamma_init": params.gamma_init,
-            "gamma_factor": params.gamma_factor,
-            "inner_cap": params.inner_cap,
-        },
+        "params": {f.name: getattr(params, f.name) for f in dataclasses.fields(params)
+                   if f.name not in ("x0", "lam0")},
         "result": {
             "cause": report.cause, "iterations": report.iterations,
             "eps": report.eps, "seconds": report.seconds,
@@ -116,11 +108,7 @@ def cmd_verify(args):
 
 
 def _fit_row(name, ks, vals, window, threshold, floor=0.0):
-    vals = np.asarray(vals, dtype=float)
-    ks = np.asarray(ks, dtype=float)
-    ok = np.isfinite(vals) & (vals > floor)
-    hi = min(window[1], int(np.max(ks[ok]))) if ok.any() else window[1]
-    fit = rate_fit(ks[ok], vals[ok], (window[0], hi))
+    fit, hi = _floored_fit(ks, vals, window[0], window[1], floor)
     return [name, window[0], hi, fit.slope, threshold, fit.slope <= threshold]
 
 

@@ -1,12 +1,12 @@
-"""Optimality measures, merit energies, averages, rate fits, and check rows.
+"""Optimality measures, merit energies, rate fits, and check rows.
 
 This module turns solver output into verifiable statements: a
 first-order (KKT) error for any candidate pair, the Lyapunov-type energy
-whose per-sweep decay certifies convergence, ergodic and weighted
-averages with their gap bounds, log-log rate fits, and two-step
-contraction ratios for the locally linear regime.  Check builders emit
-uniform rows (name, index, lhs, rhs, slack, pass) that can be written to
-CSV by the command-line verifier.
+whose per-sweep decay certifies convergence, the Lagrangian gap (the
+solver evaluates it at its running averages), log-log rate fits, and
+two-step contraction ratios for the locally linear regime.  Check
+builders emit uniform rows (name, index, lhs, rhs, slack, pass) that
+can be written to CSV by the command-line verifier.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,20 +62,6 @@ class ReferencePair:
         self.objective = problem.objective(self.x_star)
 
 
-@dataclass
-class SolutionSet:
-    """Description of the solution set used for distance-type energies.
-
-    ``x_star`` is the (unique) primal solution.  When the multiplier is
-    not unique, ``lam_basis`` spans the affine family
-    ``lam_star + lam_basis @ t``.
-    """
-
-    x_star: BlockVector
-    lam_star: np.ndarray
-    lam_basis: Optional[np.ndarray] = None
-
-
 def energy(x, y, lam, ref, Gammas, rho, alpha, M: BlockTriangular):
     """Merit energy of the current state against a reference pair.
 
@@ -105,34 +90,6 @@ def lagrangian_gap(z, ref, problem):
     if gap < -1e-9 * (1.0 + abs(ref.objective)):
         log.warning("lagrangian gap %.3e is negative beyond noise; suspect reference", gap)
     return float(gap)
-
-
-def ergodic_average(zs, t):
-    """Plain average of the first ``t`` recorded iterates."""
-    t = int(t)
-    if not 1 <= t <= len(zs):
-        raise ConfigError("ergodic average needs 1 <= t <= number of iterates")
-    acc = zs[0].copy()
-    for z in zs[1:t]:
-        acc = acc + z
-    return acc * (1.0 / t)
-
-
-def weighted_ergodic(zs, t, k0):
-    """Average with weights proportional to ``k0 + k`` over ``k = 1..t``."""
-    t = int(t)
-    if not 1 <= t <= len(zs):
-        raise ConfigError("weighted average needs 1 <= t <= number of iterates")
-    if k0 < 0:
-        raise ConfigError("k0 must be nonnegative")
-    weights = np.array([k0 + k for k in range(1, t + 1)], dtype=np.float64)
-    weights /= weights.sum()
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise StructuralError("weights failed to normalize")
-    acc = zs[0] * weights[0]
-    for wk, z in zip(weights[1:], zs[1:t]):
-        acc = acc + z * wk
-    return acc
 
 
 @dataclass
@@ -189,33 +146,6 @@ def two_step_ratio(series, tail=50, floor=1e-300, rel_floor=None):
     ratios = s[2:] / s[:-2]
     tail_r = ratios[-int(tail):] if tail else ratios
     return ratios, float(np.max(tail_r))
-
-
-def distance_energy_star(x, y, lam, sol: SolutionSet, Gammas, rho, alpha,
-                         M: BlockTriangular):
-    """Energy minimized over the multiplier family of a solution set.
-
-    With a unique multiplier this is :func:`energy`.  With an affine
-    family the quadratic in the family parameter is solved exactly by
-    least squares.  Returns ``None`` when no solution set is available.
-    """
-    if sol is None:
-        return None
-    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    lam_star = sol.lam_star
-    if sol.lam_basis is not None and sol.lam_basis.size:
-        t, *_ = np.linalg.lstsq(sol.lam_basis, lam - sol.lam_star, rcond=None)
-        lam_star = sol.lam_star + sol.lam_basis @ t
-    ref = _BarePair(sol.x_star, lam_star)
-    return energy(x, y, lam, ref, Gammas, rho, alpha, M)
-
-
-class _BarePair:
-    """Internal uncertified pair container for set-distance energies."""
-
-    def __init__(self, x_star, lam_star):
-        self.x_star = x_star
-        self.lam_star = lam_star
 
 
 @dataclass

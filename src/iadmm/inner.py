@@ -84,7 +84,7 @@ class InnerConfig:
             raise ConfigError("sigma must lie strictly between 0 and 1")
         if not 0.0 < self.delta_min <= self.delta_max:
             raise ConfigError("need 0 < delta_min <= delta_max")
-        if self.eta <= 1.0:
+        if not self.eta > 1.0:
             raise ConfigError("eta must exceed 1")
         if not self.max_iters >= 1:
             raise ConfigError("max_iters must be at least 1")

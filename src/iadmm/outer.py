@@ -72,39 +72,34 @@ class SolverParams:
     inner_cap: int = 10_000
     max_backtracks: int = 60
     exact_tol: float = 1e-12
-    store_iterates: bool = False
-    iterate_cap: int = 50_000
     x0: Optional[BlockVector] = None
     lam0: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # every bound is written as ``not x > bound`` so that nan is rejected too
         if self.mode not in ("convex", "strong", "exact"):
             raise ConfigError("unknown mode %r" % (self.mode,))
-        if self.rule not in ("constant", "adaptive"):
-            raise ConfigError("unknown rule %r" % (self.rule,))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
-        if not 0.0 < self.sigma < 1.0:
-            raise ConfigError("sigma must lie strictly between 0 and 1")
-        if min(self.theta1, self.theta2, self.theta3) <= 0.0:
-            raise ConfigError("residual weights theta1..3 must be positive")
-        # written as ``not x >= bound`` so that nan is rejected too
-        if not self.rho > 0.0:
-            raise ConfigError("rho must be positive")
+        for name in ("theta1", "theta2", "theta3", "rho", "c_psi", "gamma_init",
+                     "exact_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError("%s must be positive" % name)
+        if self.mu is not None and not self.mu > 0.0:
+            raise ConfigError("mu must be positive when given")
         if not self.tol >= 0.0:
             raise ConfigError("tol must be nonnegative")
         if self.gamma_mode not in ("power", "safeguard"):
             raise ConfigError("unknown gamma_mode %r" % (self.gamma_mode,))
         if not self.gamma_factor > 1.0:
             raise ConfigError("gamma_factor must exceed 1")
-        if self.max_outer < 1:
+        if not self.max_outer >= 1:
             raise ConfigError("max_outer must be at least 1")
         if not self.inner_cap >= 1:
             raise ConfigError("inner_cap must be at least 1")
-        if not self.max_backtracks >= 0:
-            raise ConfigError("max_backtracks must be nonnegative")
-        if self.c_psi <= 0.0:
-            raise ConfigError("c_psi must be positive")
+        # the inner-loop fields (rule, sigma, delta bounds, eta,
+        # max_backtracks) are checked by InnerConfig
+        self.inner_config()
 
     def inner_config(self):
         return InnerConfig(rule=self.rule, sigma=self.sigma,
@@ -188,7 +183,6 @@ class SolveReport:
     k0: Optional[float] = None
     cbar: Optional[float] = None
     certificate: Optional[dict] = None
-    iterates: Optional[list] = None
 
 
 def step2_epsilon(yz_gap, feas, R, theta1=1.0, theta2=1.0, theta3=1.0):
@@ -306,7 +300,6 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     cfg = params.inner_config()
     rec = _Recorder(with_ref=ref is not None, strong=strong)
     events = []
-    iterates = [] if params.store_iterates else None
     Gamma = [0.0] * m
     eps_prev = float("inf")
     zbar_sum = BlockVector.zeros(dims)
@@ -401,8 +394,6 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                 row["y_err_sq"] = float("nan")  # patched after the corrective step
         rec.append(**row)
         rec.Gammas.append(tuple(Gamma))
-        if iterates is not None and len(iterates) < params.iterate_cap:
-            iterates.append(z.copy())
 
         if k == 1:
             if strong and ref is not None and min(Gamma) > 0.0:
@@ -437,5 +428,4 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         x=x, y=y, z=z, lam=lam, gammas=list(gammas), history=history,
         events=events, params=params, seconds=time.perf_counter() - t_start,
         theta=theta, k0=k0, cbar=cbar, certificate=certificate,
-        iterates=iterates,
     )

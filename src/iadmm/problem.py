@@ -104,8 +104,3 @@ class ProblemSpec:
             s = spectral_norm(blk.op)
             out.append(s * s if s > 0.0 else 1.0)
         return out
-
-
-def apply_A(problem, x):
-    """Module-level alias for :meth:`ProblemSpec.apply_A`."""
-    return problem.apply_A(x)

@@ -29,9 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .blockspace import (BlockVector, DenseMap, Grad2D, HaarMap, LinearMap,
-                         ScaledIdentity, VStack, ZeroMap, load_dense, save_dense)
-from .diagnostics import ReferencePair, SolutionSet
+from .blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D,
+                         HaarMap, LinearMap, ScaledIdentity, VStack, ZeroMap,
+                         load_vector, save_vector)
+from .diagnostics import ReferencePair
 from .errors import CertificationError, ConfigError
 from .oracle import certify_reference, solve_qp_kkt
 from .problem import Block, ProblemSpec
@@ -42,8 +43,6 @@ log = logging.getLogger(__name__)
 
 CORPUS_DIR_ENV = "IADMM_CORPUS_DIR"
 
-DEFAULT_CORPUS = ("qp-1-m2", "qp-2-m3", "qp-3-m2", "lasso-1", "img-0-s32")
-
 
 @dataclass
 class CorpusEntry:
@@ -53,7 +52,6 @@ class CorpusEntry:
     problem: ProblemSpec
     seed: int
     reference: Optional[ReferencePair] = None
-    solution_set: Optional[SolutionSet] = None
     tags: frozenset = frozenset()
     data: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
@@ -134,20 +132,6 @@ def _rng(seed, attempt=0):
     return np.random.default_rng([int(seed), int(attempt), 0x1ADA])
 
 
-def _dense_p_min_eig(A_blocks, gammas):
-    dims = [A.shape[1] for A in A_blocks]
-    n = sum(dims)
-    Md = np.zeros((n, n))
-    off = np.cumsum([0] + dims)
-    for i, Ai in enumerate(A_blocks):
-        Md[off[i]:off[i + 1], off[i]:off[i + 1]] = gammas[i] * np.eye(dims[i])
-        for j in range(i):
-            Md[off[i]:off[i + 1], off[j]:off[j + 1]] = Ai.T @ A_blocks[j]
-    qinv = np.concatenate([np.full(d, 1.0 / g) for d, g in zip(dims, gammas)])
-    P = (Md * qinv[None, :]) @ Md.T
-    return float(np.linalg.eigvalsh(P)[0])
-
-
 def gen_qp(seed, m=2, dims=None, n_rhs=None, mu=0.0, p_floor=None):
     """Random feasible equality-constrained QP with a dense-KKT reference.
 
@@ -192,7 +176,9 @@ def gen_qp(seed, m=2, dims=None, n_rhs=None, mu=0.0, p_floor=None):
         scale = 1.0
         if p_floor is not None:
             gammas = [float(np.linalg.norm(Ai.T @ Ai, 2)) for Ai in As]
-            pmin = _dense_p_min_eig(As, gammas)
+            Md = BlockTriangular(gammas, [DenseMap(Ai) for Ai in As]).to_dense()
+            qinv = np.concatenate([np.full(d, 1.0 / g) for d, g in zip(dims, gammas)])
+            pmin = float(np.linalg.eigvalsh((Md * qinv[None, :]) @ Md.T)[0])
             if pmin < p_floor:
                 scale = float(np.sqrt(p_floor / pmin))
                 As = [scale * Ai for Ai in As]
@@ -213,7 +199,6 @@ def gen_qp(seed, m=2, dims=None, n_rhs=None, mu=0.0, p_floor=None):
         tags = {"qp"} | ({"strongly-convex"} if mu > 0 else {"convex"})
         return CorpusEntry(
             id=ident, problem=problem, seed=int(seed), reference=ref,
-            solution_set=SolutionSet(ref.x_star, ref.lam_star),
             tags=frozenset(tags), data=data,
             extras={"mu": mu, "scale": scale},
         )
@@ -232,7 +217,7 @@ def _load_cached_reference(problem, ident):
     path = _reference_cache_path(ident)
     if path is None or not os.path.exists(path):
         return None
-    flat = load_dense(path)[:, 0]
+    flat = load_vector(path)
     n = problem.n
     if flat.size != n + problem.rhs_dim:
         return None
@@ -248,8 +233,7 @@ def _store_cached_reference(ident, ref):
     path = _reference_cache_path(ident)
     if path is None:
         return
-    flat = np.concatenate([ref.x_star.to_flat(), ref.lam_star])
-    save_dense(path, flat.reshape(-1, 1))
+    save_vector(path, np.concatenate([ref.x_star.to_flat(), ref.lam_star]))
 
 
 def gen_lasso(seed, m=2, dims=(8, 6), n_rhs=6, weights=(0.15, 0.1)):
@@ -390,26 +374,3 @@ def from_id(ident):
     if m:
         return gen_imaging(int(m.group(1)), side=int(m.group(2)))
     raise ConfigError("unknown problem id %r" % (ident,))
-
-
-def write_pgm(path, img):
-    """Write a [0, 1] image as an ASCII portable graymap."""
-    img = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)
-    if img.ndim != 2:
-        raise ConfigError("graymap writer needs a 2-d image")
-    pix = np.round(img * 255).astype(int)
-    with open(path, "w") as fh:
-        fh.write("P2\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
-        for row in pix:
-            fh.write(" ".join(str(v) for v in row) + "\n")
-
-
-def read_pgm(path):
-    """Read an ASCII portable graymap written by :func:`write_pgm`."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens or tokens[0] != "P2":
-        raise ConfigError("only ASCII (P2) graymaps are supported")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    data = np.array(tokens[4:4 + w * h], dtype=np.float64).reshape(h, w)
-    return data / maxval

@@ -11,7 +11,7 @@ import logging
 
 import numpy as np
 
-from .blockspace import BlockVector
+from .blockspace import BlockTriangular, BlockVector
 from .diagnostics import (
     CheckRow,
     decay_rows,
@@ -80,8 +80,6 @@ def operator_rows(entry, rng=None, pairs=20):
             rows.append(_row("orthonormal-block%d" % i, 0, max(syn, ana),
                              ORTHO_TOL))
 
-    from .blockspace import BlockTriangular
-
     gammas = entry.problem.gammas_power()
     M = BlockTriangular(gammas, list(problem.ops()))
     y = BlockVector.from_flat(rng.standard_normal(problem.n), problem.dims)
@@ -96,17 +94,7 @@ def operator_rows(entry, rng=None, pairs=20):
                      BACKSUB_TOL * (1.0 + target.norm())))
 
     if problem.n <= DENSE_ORACLE_MAX_DIM:
-        dense_M = np.zeros((problem.n, problem.n))
-        offs = np.cumsum([0] + list(problem.dims))
-        ops = list(problem.ops())
-        for i in range(problem.m):
-            ri, ci = offs[i], offs[i + 1]
-            dense_M[ri:ci, ri:ci] = gammas[i] * np.eye(problem.dims[i])
-            for j in range(i):
-                rj, cj = offs[j], offs[j + 1]
-                Ai = ops[i].to_dense()
-                Aj = ops[j].to_dense()
-                dense_M[ri:ci, rj:cj] = Ai.T @ Aj
+        dense_M = M.to_dense()
         dense_P = dense_M @ np.diag(np.repeat(1.0 / np.asarray(gammas),
                                               problem.dims)) @ dense_M.T
         w = rng.standard_normal(problem.n)

@@ -1,6 +1,7 @@
 """Command line front end: exit codes, artifacts, schemas."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import iadmm.cli
 from iadmm.cli import main
 from iadmm.errors import NumericError
-from iadmm.outer import HISTORY_COLUMNS
+from iadmm.outer import HISTORY_COLUMNS, SolverParams
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +35,9 @@ def test_solve_writes_history_and_manifest(tmp_path):
     assert manifest["command"] == "solve"
     assert manifest["problem"] == "qp-1-m2"
     assert manifest["params"]["rule"] == "adaptive"
+    # every solver parameter is recorded, except the starting point
+    assert set(manifest["params"]) == {
+        f.name for f in dataclasses.fields(SolverParams)} - {"x0", "lam0"}
     assert manifest["result"]["cause"] == "tolerance"
 
 

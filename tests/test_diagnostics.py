@@ -9,26 +9,22 @@ from iadmm.blockspace import BlockTriangular, BlockVector, DenseMap
 from iadmm.diagnostics import (
     CheckRow,
     ReferencePair,
-    SolutionSet,
     all_passed,
     decay_rows,
-    distance_energy_star,
     energy,
-    ergodic_average,
     ergodic_rows,
     kkt_error,
     lagrangian_gap,
     rate_fit,
     strong_rows,
     two_step_ratio,
-    weighted_ergodic,
     write_check_csv,
 )
 from iadmm.errors import CertificationError, ConfigError, StructuralError
 from iadmm.oracle import solve_qp_kkt
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block, ProblemSpec
-from iadmm.problems import gen_qp
+from iadmm.problems import from_id, gen_qp
 from iadmm.proxlib import l1_prox, quadratic, zero_prox
 
 
@@ -153,29 +149,47 @@ def test_lagrangian_gap_at_and_away_from_solution():
     assert lagrangian_gap(z, ref, problem) > 0.0
 
 
-def test_ergodic_average_arithmetic():
-    dims = (2,)
-    zs = [BlockVector.from_flat(np.array([float(k), 2.0 * k]), dims)
-          for k in (1, 2, 3)]
-    avg1 = ergodic_average(zs, 1)
-    assert avg1.to_flat() == pytest.approx([1.0, 2.0])
-    avg3 = ergodic_average(zs, 3)
-    assert avg3.to_flat() == pytest.approx([2.0, 4.0])
-    # a constant sequence averages to itself
-    const = [BlockVector.from_flat(np.array([5.0, -1.0]), dims)] * 4
-    assert ergodic_average(const, 4).to_flat() == pytest.approx([5.0, -1.0])
+def ergodic_average(zs, t):
+    """Plain average of the first ``t`` iterates (oracle for the running sum)."""
+    acc = zs[0].copy()
+    for z in zs[1:t]:
+        acc = acc + z
+    return acc * (1.0 / t)
 
 
-def test_weighted_ergodic_weights():
-    # k0 = 0, t = 2: weights proportional to (k0+1, k0+2) = (1, 2)
-    dims = (1,)
-    zs = [BlockVector.from_flat(np.array([0.0]), dims),
-          BlockVector.from_flat(np.array([3.0]), dims)]
-    out = weighted_ergodic(zs, 2, k0=0.0)
-    assert out.to_flat() == pytest.approx([2.0])
-    # k0 = 1, t = 2: weights (2, 3)/5
-    out = weighted_ergodic(zs, 2, k0=1.0)
-    assert out.to_flat() == pytest.approx([9.0 / 5.0])
+def weighted_ergodic(zs, t, k0):
+    """Average of the first ``t`` iterates with weights proportional to ``k0 + k``."""
+    weights = np.array([k0 + k for k in range(1, t + 1)], dtype=np.float64)
+    weights /= weights.sum()
+    acc = zs[0] * weights[0]
+    for wk, z in zip(weights[1:], zs[1:t]):
+        acc = acc + z * wk
+    return acc
+
+
+def test_running_averages_match_oracles():
+    # the solver keeps running sums, not iterates: rebuild each average
+    # from the lookahead points z_t of separate solves capped at t sweeps
+    T = 8
+    for ident, mode in (("qp-1-m2", "convex"), ("qp-2-m2-mu0.5", "strong")):
+        entry = from_id(ident)
+        problem, ref = entry.problem, entry.reference
+
+        def run(t):
+            params = SolverParams(mode=mode, alpha=0.5, tol=0.0, max_outer=t)
+            return solve(problem, params, ref=ref)
+
+        zs = [run(t).z for t in range(1, T + 1)]
+        report = run(T)
+        h = report.history
+        for t in range(1, T + 1):
+            avg = ergodic_average(zs, t)
+            assert h.erg_obj[t - 1] == problem.objective(avg)
+            assert h.erg_gap[t - 1] == lagrangian_gap(avg, ref, problem)
+            if mode == "strong":
+                wavg = weighted_ergodic(zs, t, report.k0)
+                assert h.w_gap[t - 1] == pytest.approx(
+                    lagrangian_gap(wavg, ref, problem), rel=1e-12)
 
 
 def test_rate_fit_recovers_exact_power_laws():
@@ -218,53 +232,6 @@ def test_two_step_ratio_truncates_dead_tail():
 def test_two_step_ratio_short_series():
     ratios, tail_max = two_step_ratio([1.0, 0.5], tail=5)
     assert ratios is None and tail_max is None
-
-
-def test_distance_energy_star_singleton_reduces_to_energy():
-    entry = _qp_problem()
-    problem, ref = entry.problem, entry.reference
-    sol = SolutionSet(ref.x_star, ref.lam_star)
-    gammas = problem.gammas_power()
-    M = _tri_for(problem, gammas)
-    rng = np.random.default_rng(5)
-    x = BlockVector.from_flat(rng.standard_normal(problem.n), problem.dims)
-    lam = rng.standard_normal(problem.rhs_dim)
-    a = distance_energy_star(x, x, lam, sol, (1.0, 1.0), 1.0, 0.5, M)
-    b = energy(x, x, lam, ref, (1.0, 1.0), 1.0, 0.5, M)
-    assert a == pytest.approx(b, rel=1e-12)
-    assert distance_energy_star(x, x, lam, None, (1.0, 1.0), 1.0, 0.5, M) is None
-
-
-def test_distance_energy_star_affine_family_grid_oracle():
-    # duplicate the constraint row: multipliers form a line
-    # (lam1 + lam2 constant), so the set distance must match a grid scan
-    H = np.diag([1.0, 2.0])
-    A = DenseMap(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    blk = Block(quadratic(H, np.zeros(2)), zero_prox(), A)
-    problem = ProblemSpec([blk], np.array([2.0, 2.0]))
-    # stationarity: H x* = -A^T lam*; x* = (4/3, 2/3) fixes
-    # lam1 + lam2 = -4/3
-    x_star = BlockVector.from_flat(np.array([4.0 / 3.0, 2.0 / 3.0]), (2,))
-    lam_star = np.array([-4.0 / 3.0, 0.0])
-    basis = np.array([[1.0], [-1.0]])
-    sol = SolutionSet(x_star, lam_star, lam_basis=basis)
-    M = BlockTriangular([2.0], [A])
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        x = BlockVector.from_flat(rng.standard_normal(2), (2,))
-        y = BlockVector.from_flat(rng.standard_normal(2), (2,))
-        lam = rng.standard_normal(2)
-        got = distance_energy_star(x, y, lam, sol, (1.3,), 1.0, 0.5, M)
-        grid = np.linspace(-20.0, 20.0, 40001)
-        best = np.inf
-        for t in grid:
-            ref = SolutionSet(x_star, lam_star + basis[:, 0] * t)
-            cand = distance_energy_star(x, y, lam,
-                                        SolutionSet(x_star, ref.lam_star),
-                                        (1.3,), 1.0, 0.5, M)
-            best = min(best, cand)
-        assert got <= best + 1e-6
-        assert got == pytest.approx(best, abs=1e-6)
 
 
 def test_check_row_csv_round_trip(tmp_path):

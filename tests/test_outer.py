@@ -134,6 +134,21 @@ def test_solver_params_validation():
     ("tol", float("nan")),
     ("rho", float("nan")),
     ("gamma_factor", 0.5),
+    ("alpha", float("nan")),
+    ("sigma", float("nan")),
+    ("theta1", float("nan")),
+    ("theta2", float("nan")),
+    ("theta3", float("nan")),
+    ("delta_min", float("nan")),
+    ("delta_max", float("nan")),
+    ("eta", float("nan")),
+    ("c_psi", float("nan")),
+    ("mu", float("nan")),
+    ("mu", -1.0),
+    ("gamma_init", float("nan")),
+    ("exact_tol", float("nan")),
+    ("max_outer", 0),
+    ("rule", "newton"),
 ])
 def test_solver_params_rejects_bad_field(field, bad):
     # each bad value is refused when the parameters are built, with the

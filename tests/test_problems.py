@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iadmm.blockspace import Grad2D, HaarMap
-from iadmm.errors import ConfigError
+from iadmm.errors import ConfigError, StructuralError
 from iadmm.outer import SolverParams, solve
 from iadmm.problems import (
     SeparableBlur,
@@ -13,8 +13,6 @@ from iadmm.problems import (
     gen_imaging,
     gen_lasso,
     gen_qp,
-    read_pgm,
-    write_pgm,
 )
 
 
@@ -48,10 +46,17 @@ def test_qp_strong_variant_moduli_and_scaling():
         assert np.linalg.eigvalsh(H)[0] >= 0.5 - 1e-10
 
 
+def test_strong_qp_ids_apply_the_p_floor():
+    # from_id rescales strongly convex QPs so that P has smallest
+    # eigenvalue at least 1.25; qp-1 needs it, qp-2 already meets it
+    assert from_id("qp-1-m2-mu0.5").extras["scale"] == pytest.approx(
+        1.1185679454985609, rel=1e-12)
+    assert from_id("qp-2-m2-mu0.5").extras["scale"] == 1.0
+
+
 def test_qp_reference_certified():
     entry = gen_qp(85, m=3)
     assert entry.reference.kkt <= 1e-9
-    assert entry.solution_set is not None
 
 
 def test_lasso_generator_and_reference():
@@ -75,6 +80,15 @@ def test_reference_cache_round_trip(tmp_path, monkeypatch):
     assert np.array_equal(a.reference.x_star.to_flat(),
                           b.reference.x_star.to_flat())
     assert np.array_equal(a.reference.lam_star, b.reference.lam_star)
+
+
+def test_reference_cache_rejects_multi_column_file(tmp_path, monkeypatch):
+    # the cache is read with load_vector, so a matrix file is an error
+    # rather than a vector silently taken from its first column
+    monkeypatch.setenv("IADMM_CORPUS_DIR", str(tmp_path))
+    (tmp_path / "lasso-3.ref.txt").write_text("2 2\n1.0 2.0\n3.0 4.0\n")
+    with pytest.raises(StructuralError, match="single-column"):
+        gen_lasso(3)
 
 
 def test_imaging_structure():
@@ -183,14 +197,3 @@ def test_from_id_matches_direct_generation():
     a = from_id("qp-9-m2")
     b = gen_qp(9, m=2)
     assert a.fingerprint() == b.fingerprint()
-
-
-def test_pgm_round_trip(tmp_path):
-    rng = np.random.default_rng(0x96)
-    img = rng.random((6, 7))
-    path = tmp_path / "img.pgm"
-    write_pgm(path, img)
-    back = read_pgm(path)
-    assert back.shape == (6, 7)
-    # 8-bit quantization: rounding error at most half a level
-    assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
