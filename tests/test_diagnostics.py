@@ -167,6 +167,31 @@ def weighted_ergodic(zs, t, k0):
     return acc
 
 
+def test_ergodic_average_arithmetic():
+    dims = (2,)
+    zs = [BlockVector.from_flat(np.array([float(k), 2.0 * k]), dims)
+          for k in (1, 2, 3)]
+    avg1 = ergodic_average(zs, 1)
+    assert avg1.to_flat() == pytest.approx([1.0, 2.0])
+    avg3 = ergodic_average(zs, 3)
+    assert avg3.to_flat() == pytest.approx([2.0, 4.0])
+    # a constant sequence averages to itself
+    const = [BlockVector.from_flat(np.array([5.0, -1.0]), dims)] * 4
+    assert ergodic_average(const, 4).to_flat() == pytest.approx([5.0, -1.0])
+
+
+def test_weighted_ergodic_weights():
+    # k0 = 0, t = 2: weights proportional to (k0+1, k0+2) = (1, 2)
+    dims = (1,)
+    zs = [BlockVector.from_flat(np.array([0.0]), dims),
+          BlockVector.from_flat(np.array([3.0]), dims)]
+    out = weighted_ergodic(zs, 2, k0=0.0)
+    assert out.to_flat() == pytest.approx([2.0])
+    # k0 = 1, t = 2: weights (2, 3)/5
+    out = weighted_ergodic(zs, 2, k0=1.0)
+    assert out.to_flat() == pytest.approx([9.0 / 5.0])
+
+
 def test_running_averages_match_oracles():
     # the solver keeps running sums, not iterates: rebuild each average
     # from the lookahead points z_t of separate solves capped at t sweeps
