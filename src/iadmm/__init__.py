@@ -17,7 +17,7 @@ from .errors import (CertificationError, ConfigError, IadmmError,
                      NumericError, StructuralError)
 from .inner import (InnerConfig, InnerResult, InnerTrace, line_search_accept,
                     params_adaptive, params_constant, run_inner)
-from .oracle import certify_reference, solve_qp_kkt, subproblem_minimizer
+from .oracle import solve_qp_kkt, subproblem_minimizer
 from .outer import (History, SolveReport, SolverParams, exact_block_step,
                     gamma_compatible, rho_strong, solve, step2_epsilon,
                     step3_update)

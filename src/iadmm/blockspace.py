@@ -565,8 +565,11 @@ def load_dense(path):
         head = fh.readline().split()
         if len(head) != 2:
             raise StructuralError("expected 'rows cols' header in %s" % path)
-        r, c = int(head[0]), int(head[1])
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        try:
+            r, c = int(head[0]), int(head[1])
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise StructuralError("cannot parse %s: %s" % (path, exc)) from exc
     if data.size != r * c:
         raise StructuralError("expected %d entries in %s, found %d" % (r * c, path, data.size))
     return data.reshape(r, c)

@@ -67,29 +67,31 @@ _LS_SLACK = 1e-12
 
 @dataclass
 class InnerConfig:
-    """Parameters of the inner loop shared across blocks."""
+    """Parameters of the inner loop shared across blocks.
+
+    A caller sets the step-size ``rule``, the descent slack ``sigma`` and
+    the iteration cap ``max_iters``.  The rest are fixed class constants:
+    the proximal-weight bounds ``delta_min``/``delta_max`` (the zero-smooth
+    case pins ``delta_l`` at ``delta_min``), the backtracking factor
+    ``eta`` and the backtrack cap ``max_backtracks`` of the adaptive rule.
+    """
 
     rule: str = "adaptive"
     sigma: float = 0.99
-    delta_min: float = 1e-6
-    delta_max: float = 1e6
-    eta: float = 2.0
     max_iters: int = 10_000
-    max_backtracks: int = 60
+
+    delta_min = 1e-6
+    delta_max = 1e6
+    eta = 2.0
+    max_backtracks = 60
 
     def __post_init__(self):
         if self.rule not in ("constant", "adaptive"):
             raise ConfigError("unknown inner rule %r" % (self.rule,))
         if not 0.0 < self.sigma < 1.0:
             raise ConfigError("sigma must lie strictly between 0 and 1")
-        if not 0.0 < self.delta_min <= self.delta_max:
-            raise ConfigError("need 0 < delta_min <= delta_max")
-        if not self.eta > 1.0:
-            raise ConfigError("eta must exceed 1")
         if not self.max_iters >= 1:
             raise ConfigError("max_iters must be at least 1")
-        if not self.max_backtracks >= 0:
-            raise ConfigError("max_backtracks must be nonnegative")
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 
 from .blockspace import BlockVector
 from .diagnostics import ReferencePair, kkt_error
-from .errors import CertificationError, ConfigError, NumericError
+from .errors import ConfigError, NumericError
 from .problem import Block, ProblemSpec
 
 
@@ -97,11 +97,3 @@ def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i,
         best=u,
     )
 
-
-def certify_reference(problem, x_star, lam_star, source="external", tol=1e-9):
-    """Gate a candidate pair; returns a :class:`ReferencePair` or raises.
-
-    Rejection (:class:`CertificationError`) carries the measured KKT
-    error so callers can report how far off the candidate was.
-    """
-    return ReferencePair(problem, x_star, lam_star, source=source, tol=tol)

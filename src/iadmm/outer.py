@@ -4,7 +4,7 @@ One outer iteration runs the inner loop over the blocks in order (each
 block sees the newest lookahead points ``z_j`` of earlier blocks and the
 corrected points ``y_j`` of later ones), forms the residual
 
-    eps_k = theta1 ||z - y|| + theta2 ||A z - b|| + theta3 sqrt(R_k),
+    eps_k = ||z - y|| + ||A z - b|| + sqrt(R_k),
 
 and, unless ``eps_k`` is small enough to stop, applies the corrective
 step: solve ``M^T (y_new - y) = alpha Q (z - y)`` by back substitution
@@ -21,6 +21,7 @@ subproblem oracle (useful for references and cross-checks).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,42 +36,39 @@ from .oracle import subproblem_minimizer
 from .problem import ProblemSpec
 
 HISTORY_COLUMNS = ("k", "eps", "feas", "yz_gap", "R", "obj", "E", "kkt", "rho", "gamma1")
+# factor by which the safeguard grows a diagonal weight that a sweep outran
+GAMMA_FACTOR = 3.0
 
 
 @dataclass
 class SolverParams:
-    """All knobs of the outer and inner loops.
+    """The knobs a caller sets for the outer and inner loops.
 
-    ``mode`` is ``convex`` (fixed penalty), ``strong`` (growing penalty,
-    needs a positive strong-convexity modulus), or ``exact`` (oracle
-    subproblem solves).  ``rule`` picks the inner step-size rule.  The
-    ``theta*`` weights combine the three residual pieces.  ``gamma_mode``
-    chooses between power-iteration initialization of the diagonal
-    weights and the safeguarded variant that starts every weight at
-    ``gamma_init`` and multiplies by ``gamma_factor`` whenever
+    ``mode`` is ``convex`` (fixed penalty ``rho``), ``strong`` (growing
+    penalty from the problem's strong-convexity modulus
+    ``problem.mu_total()``, which must be positive), or ``exact`` (oracle
+    subproblem solves to ``exact_tol``).  ``rule`` and ``sigma`` pick the
+    inner step-size rule.  The residual is
+    ``eps_k = ||z - y|| + ||A z - b|| + sqrt(R_k)`` and the forcing
+    threshold is ``psi(eps) = eps``: the paper's weights ``theta_1..3`` and
+    ``c_psi`` are fixed at 1.  ``gamma_mode`` chooses between
+    power-iteration initialization of the diagonal weights and the
+    safeguarded variant that starts every weight at ``gamma_init`` and
+    multiplies by ``GAMMA_FACTOR`` whenever
     ``gamma_i ||z_i - y_i||^2 < ||A_i (z_i - y_i)||^2`` is observed.
+    ``x0`` (a :class:`BlockVector`) and ``lam0`` are an optional finite
+    starting point.
     """
 
     mode: str = "convex"
     rule: str = "adaptive"
     rho: float = 1.0
-    mu: Optional[float] = None
     alpha: float = 0.9
     sigma: float = 0.99
-    theta1: float = 1.0
-    theta2: float = 1.0
-    theta3: float = 1.0
-    delta_min: float = 1e-6
-    delta_max: float = 1e6
-    eta: float = 2.0
-    c_psi: float = 1.0
     tol: float = 1e-8
     max_outer: int = 100_000
     gamma_mode: str = "power"
     gamma_init: float = 4.0
-    gamma_factor: float = 3.0
-    inner_cap: int = 10_000
-    max_backtracks: int = 60
     exact_tol: float = 1e-12
     x0: Optional[BlockVector] = None
     lam0: Optional[np.ndarray] = None
@@ -81,31 +79,27 @@ class SolverParams:
             raise ConfigError("unknown mode %r" % (self.mode,))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
-        for name in ("theta1", "theta2", "theta3", "rho", "c_psi", "gamma_init",
-                     "exact_tol"):
+        for name in ("rho", "gamma_init", "exact_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError("%s must be positive" % name)
-        if self.mu is not None and not self.mu > 0.0:
-            raise ConfigError("mu must be positive when given")
         if not self.tol >= 0.0:
             raise ConfigError("tol must be nonnegative")
         if self.gamma_mode not in ("power", "safeguard"):
             raise ConfigError("unknown gamma_mode %r" % (self.gamma_mode,))
-        if not self.gamma_factor > 1.0:
-            raise ConfigError("gamma_factor must exceed 1")
         if not self.max_outer >= 1:
             raise ConfigError("max_outer must be at least 1")
-        if not self.inner_cap >= 1:
-            raise ConfigError("inner_cap must be at least 1")
-        # the inner-loop fields (rule, sigma, delta bounds, eta,
-        # max_backtracks) are checked by InnerConfig
+        if self.x0 is not None:
+            if not isinstance(self.x0, BlockVector):
+                raise ConfigError("x0 must be a BlockVector")
+            if not np.isfinite(self.x0.to_flat()).all():
+                raise ConfigError("x0 has non-finite entries")
+        if self.lam0 is not None and not np.isfinite(self.lam0).all():
+            raise ConfigError("lam0 has non-finite entries")
+        # rule and sigma are checked by InnerConfig
         self.inner_config()
 
     def inner_config(self):
-        return InnerConfig(rule=self.rule, sigma=self.sigma,
-                           delta_min=self.delta_min, delta_max=self.delta_max,
-                           eta=self.eta, max_iters=self.inner_cap,
-                           max_backtracks=self.max_backtracks)
+        return InnerConfig(rule=self.rule, sigma=self.sigma)
 
 
 @dataclass
@@ -185,13 +179,11 @@ class SolveReport:
     certificate: Optional[dict] = None
 
 
-def step2_epsilon(yz_gap, feas, R, theta1=1.0, theta2=1.0, theta3=1.0):
-    """Combined residual ``theta1 ||z-y|| + theta2 ||Az-b|| + theta3 sqrt(R)``."""
-    if min(theta1, theta2, theta3) <= 0.0:
-        raise ConfigError("residual weights must be positive")
+def step2_epsilon(yz_gap, feas, R):
+    """Combined residual ``||z-y|| + ||Az-b|| + sqrt(R)``."""
     if R < 0.0:
         R = 0.0
-    return float(theta1 * yz_gap + theta2 * feas + theta3 * np.sqrt(R))
+    return float(yz_gap + feas + np.sqrt(R))
 
 
 def step3_update(M: BlockTriangular, y, z, lam, rho, alpha, residual):
@@ -206,6 +198,13 @@ def rho_strong(k, k0, theta):
     if theta <= 0.0 or k0 < 0.0:
         raise ConfigError("strong-mode schedule needs theta > 0 and k0 >= 0")
     return (k0 + k) * theta
+
+
+def _strong_schedule(M: BlockTriangular, mu, alpha):
+    """Strong-mode ``(theta, k0)`` for the current weights of ``M``."""
+    theta = alpha * mu / (8.0 * M.p_norm())
+    k0 = 4.0 * M.scaled_p_norm() / (alpha * (1.0 - alpha))
+    return theta, k0
 
 
 def gamma_compatible(op, gamma, z_i, y_i):
@@ -291,11 +290,10 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     exact = params.mode == "exact"
     theta = k0 = None
     if strong:
-        mu = params.mu if params.mu is not None else problem.mu_total()
-        if mu is None or mu <= 0.0:
+        mu = problem.mu_total()
+        if not mu > 0.0:
             raise ConfigError("strong mode needs a positive strong-convexity modulus")
-        theta = params.alpha * mu / (8.0 * M.p_norm())
-        k0 = 4.0 * M.scaled_p_norm() / (params.alpha * (1.0 - params.alpha))
+        theta, k0 = _strong_schedule(M, mu, params.alpha)
 
     cfg = params.inner_config()
     rec = _Recorder(with_ref=ref is not None, strong=strong)
@@ -323,7 +321,6 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         x_blocks = [None] * m
         Gamma_new = [0.0] * m
         r_vals = [0.0] * m
-        psi_eps = params.c_psi * eps_prev
         for i in range(m):
             b_i = problem.b - c_full + ay[i]
             if exact:
@@ -335,7 +332,7 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                     floor = Gamma[i] * k / (k - 1.0)
                 res, _ = run_inner(
                     problem.blocks[i], x.blocks[i], y.blocks[i], lam, b_i,
-                    rho_k, gammas[i], cfg, Gamma_prev=Gamma[i], psi_eps=psi_eps,
+                    rho_k, gammas[i], cfg, Gamma_prev=Gamma[i], psi_eps=eps_prev,
                     gamma_floor=floor, ctx=(k, i))
             x_blocks[i] = res.x_next
             z_blocks[i] = res.z
@@ -350,6 +347,10 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         feas = float(np.linalg.norm(residual))
         yz = (y - z).norm()
         R = max(sum(r_vals), 0.0)
+        eps_k = step2_epsilon(yz, feas, R)
+        if not math.isfinite(eps_k):
+            raise NumericError("residual eps_k is not finite",
+                               context={"routine": "solve", "outer_iteration": k})
 
         # --- safeguard: grow diagonal weights that the sweep outran -------
         if params.gamma_mode == "safeguard":
@@ -357,19 +358,16 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
             for i in range(m):
                 if not gamma_compatible(ops[i], gammas[i], z.blocks[i], y.blocks[i]):
                     old = gammas[i]
-                    gammas[i] *= params.gamma_factor
+                    gammas[i] *= GAMMA_FACTOR
                     events.append({"k": k, "event": "gamma-safeguard", "block": i,
                                    "old": old, "new": gammas[i]})
                     changed = True
             if changed:
                 M = BlockTriangular(gammas, ops)
                 if strong:
-                    theta = params.alpha * mu / (8.0 * M.p_norm())
-                    k0 = 4.0 * M.scaled_p_norm() / (params.alpha * (1.0 - params.alpha))
+                    theta, k0 = _strong_schedule(M, mu, params.alpha)
                     events.append({"k": k, "event": "strong-schedule-update",
                                    "theta": theta, "k0": k0})
-
-        eps_k = step2_epsilon(yz, feas, R, params.theta1, params.theta2, params.theta3)
 
         # --- per-sweep records ---------------------------------------------
         obj = problem.objective(z)

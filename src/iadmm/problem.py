@@ -40,6 +40,8 @@ class ProblemSpec:
         rows = {blk.op.rows for blk in blocks}
         if len(rows) > 1 or b.size not in rows:
             raise StructuralError("constraint operators and b must share the row dimension")
+        if not np.isfinite(b).all():
+            raise StructuralError("b has non-finite entries")
         self.blocks = blocks
         self.b = b
 

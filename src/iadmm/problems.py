@@ -34,7 +34,7 @@ from .blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D,
                          load_vector, save_vector)
 from .diagnostics import ReferencePair
 from .errors import CertificationError, ConfigError
-from .oracle import certify_reference, solve_qp_kkt
+from .oracle import solve_qp_kkt
 from .problem import Block, ProblemSpec
 from .proxlib import (group_l2_prox, l1_prox, pair_groups, quadratic,
                       quadratic_smooth, zero_prox, zero_smooth)
@@ -223,7 +223,7 @@ def _load_cached_reference(problem, ident):
         return None
     x = BlockVector.from_flat(flat[:n], problem.dims)
     try:
-        return certify_reference(problem, x, flat[n:], source="cache:%s" % path)
+        return ReferencePair(problem, x, flat[n:], source="cache:%s" % path)
     except CertificationError:
         log.warning("cached reference for %s failed its gate; recomputing", ident)
         return None
@@ -280,7 +280,7 @@ def gen_lasso(seed, m=2, dims=(8, 6), n_rhs=6, weights=(0.15, 0.1)):
         report = solve(problem, params)
         if report.cause == "max-iterations":
             raise ConfigError("exact-mode reference run for %s did not converge" % ident)
-        ref = certify_reference(problem, report.z, report.lam, source="exact-mode-run")
+        ref = ReferencePair(problem, report.z, report.lam, source="exact-mode-run")
         _store_cached_reference(ident, ref)
     return CorpusEntry(
         id=ident, problem=problem, seed=int(seed), reference=ref,

@@ -41,6 +41,35 @@ def test_solve_writes_history_and_manifest(tmp_path):
     assert manifest["result"]["cause"] == "tolerance"
 
 
+def test_solve_manifest_rebuilds_its_params(tmp_path, monkeypatch):
+    # the recorded params construct the very SolverParams the run used
+    seen = []
+    real_solve = iadmm.cli.solve
+
+    def recording_solve(problem, params, ref=None):
+        seen.append(params)
+        return real_solve(problem, params, ref=ref)
+
+    monkeypatch.setattr(iadmm.cli, "solve", recording_solve)
+    out = tmp_path / "m.csv"
+    rc = main(["solve", "--problem", "qp-1-m2", "--mode", "exact", "--alpha", "0.7",
+               "--tol", "1e-6", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+    assert len(seen) == 1
+    assert SolverParams(**manifest["params"]) == seen[0]
+
+
+def test_solve_corrupt_reference_cache_exits_one(tmp_path, monkeypatch, capsys):
+    # an unparsable cached reference is reported as an error, not a traceback
+    monkeypatch.setenv("IADMM_CORPUS_DIR", str(tmp_path))
+    (tmp_path / "lasso-1.ref.txt").write_text("3 1\n1.0\nabc\n2.0\n")
+    rc = main(["solve", "--problem", "lasso-1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lasso-1.ref.txt" in err
+
+
 def test_solve_iteration_cap_exits_two(tmp_path):
     out = tmp_path / "cap.csv"
     rc = main(["solve", "--problem", "qp-1-m2", "--max-outer", "1",

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from iadmm.blockspace import BlockVector, DenseMap
+from iadmm.diagnostics import ReferencePair
 from iadmm.errors import CertificationError, ConfigError
 from iadmm.inner import InnerConfig, run_inner
-from iadmm.oracle import certify_reference, solve_qp_kkt, subproblem_minimizer
+from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.problem import Block, ProblemSpec
 from iadmm.problems import gen_qp
 from iadmm.proxlib import l1_prox, quadratic, soft_threshold, zero_prox
@@ -135,10 +136,10 @@ def test_inner_loop_limit_matches_oracle():
 def test_certify_reference_accepts_and_rejects():
     entry = gen_qp(74, m=2)
     problem, ref = entry.problem, entry.reference
-    ok = certify_reference(problem, ref.x_star, ref.lam_star, source="round")
+    ok = ReferencePair(problem, ref.x_star, ref.lam_star, source="round")
     assert ok.source == "round"
     assert ok.kkt <= 1e-9
     bad = ref.x_star + BlockVector.from_flat(
         np.full(problem.n, 0.1), problem.dims)
     with pytest.raises(CertificationError):
-        certify_reference(problem, bad, ref.lam_star)
+        ReferencePair(problem, bad, ref.lam_star)

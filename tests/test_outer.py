@@ -1,10 +1,13 @@
 """Outer sweep: step arithmetic, schedules, termination, safeguards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import iadmm.outer
 from iadmm.blockspace import BlockTriangular, BlockVector, DenseMap
-from iadmm.errors import ConfigError
+from iadmm.errors import ConfigError, NumericError, StructuralError
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.outer import (
     SolverParams,
@@ -32,15 +35,18 @@ def _hand_qp():
     return ProblemSpec(blocks, np.array([2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_problem_spec_rejects_non_finite_b(bad):
+    blocks = _hand_qp().blocks
+    with pytest.raises(StructuralError, match="non-finite"):
+        ProblemSpec(blocks, np.array([bad]))
+
+
 def test_step2_epsilon_arithmetic():
-    # theta-weighted sum with the square root on the accumulated r-term
+    # plain sum with the square root on the accumulated r-term
     assert step2_epsilon(1.0, 2.0, 9.0) == pytest.approx(1.0 + 2.0 + 3.0)
-    assert step2_epsilon(1.0, 2.0, 9.0, theta1=2.0, theta2=0.5,
-                         theta3=1.0 / 3.0) == pytest.approx(2.0 + 1.0 + 1.0)
     # negative accumulated term is clipped (guards rounding at zero)
     assert step2_epsilon(0.0, 0.0, -1e-30) == 0.0
-    with pytest.raises(ConfigError):
-        step2_epsilon(1.0, 1.0, 1.0, theta1=0.0)
 
 
 def test_step3_update_worked_example():
@@ -128,33 +134,46 @@ def test_solver_params_validation():
         SolverParams(tol=-1.0)
 
 
+def test_solver_params_fields():
+    # only the knobs a caller sets are fields; the rest are fixed constants
+    assert [f.name for f in dataclasses.fields(SolverParams)] == [
+        "mode", "rule", "rho", "alpha", "sigma", "tol", "max_outer",
+        "gamma_mode", "gamma_init", "exact_tol", "x0", "lam0"]
+
+
 @pytest.mark.parametrize("field,bad", [
-    ("inner_cap", 0),
-    ("max_backtracks", -1),
     ("tol", float("nan")),
     ("rho", float("nan")),
-    ("gamma_factor", 0.5),
     ("alpha", float("nan")),
     ("sigma", float("nan")),
-    ("theta1", float("nan")),
-    ("theta2", float("nan")),
-    ("theta3", float("nan")),
-    ("delta_min", float("nan")),
-    ("delta_max", float("nan")),
-    ("eta", float("nan")),
-    ("c_psi", float("nan")),
-    ("mu", float("nan")),
-    ("mu", -1.0),
     ("gamma_init", float("nan")),
     ("exact_tol", float("nan")),
     ("max_outer", 0),
     ("rule", "newton"),
+    pytest.param("x0", np.zeros(3), id="x0-array"),
+    pytest.param("x0", BlockVector.from_flat(np.array([0.0, np.nan, 0.0]), (2, 1)),
+                 id="x0-nan"),
+    pytest.param("x0", BlockVector.from_flat(np.array([0.0, 0.0, np.inf]), (2, 1)),
+                 id="x0-inf"),
+    pytest.param("lam0", np.array([1.0, np.nan]), id="lam0-nan"),
+    pytest.param("lam0", [np.inf], id="lam0-inf"),
 ])
 def test_solver_params_rejects_bad_field(field, bad):
     # each bad value is refused when the parameters are built, with the
     # field named, instead of failing (or silently running on) in a solve
     with pytest.raises(ConfigError, match=field):
         SolverParams(gamma_mode="safeguard", **{field: bad})
+
+
+def test_solve_raises_on_non_finite_residual(monkeypatch):
+    # a non-finite subproblem solution makes eps_k nan; the solve stops at
+    # once instead of running every sweep on a nan residual
+    entry = gen_qp(1, m=2)
+    monkeypatch.setattr(iadmm.outer, "subproblem_minimizer",
+                        lambda block, y_i, *args, **kw: np.full(y_i.size, np.nan))
+    with pytest.raises(NumericError, match="not finite") as info:
+        solve(entry.problem, SolverParams(mode="exact", max_outer=200))
+    assert info.value.context["outer_iteration"] == 1
 
 
 def test_exact_zero_termination_on_integer_fixture():
@@ -241,12 +260,37 @@ def test_safeguard_mode_recovers_from_tiny_gamma():
     # test must bump them and the solve still reaches tolerance
     entry = gen_qp(46, m=2)
     params = SolverParams(gamma_mode="safeguard", gamma_init=1e-3,
-                          gamma_factor=3.0, tol=1e-7, max_outer=30000)
+                          tol=1e-7, max_outer=30000)
     report = solve(entry.problem, params)
     assert report.cause == "tolerance"
     bumps = [e for e in report.events if e["event"] == "gamma-safeguard"]
     assert bumps, "expected at least one safeguard activation"
     assert all(report.gammas[i] >= 1e-3 for i in range(2))
+
+
+def test_strong_schedule_updates_match_formulas():
+    # every safeguard bump in strong mode recomputes theta and k0 from the
+    # bumped weights; rebuild the weights from the events and recompute
+    # (all 23 events of this run fall in its first 8 sweeps)
+    entry = from_id("qp-2-m2-mu0.5")
+    problem, alpha, g0 = entry.problem, 0.5, 1e-3
+    params = SolverParams(mode="strong", alpha=alpha, gamma_mode="safeguard",
+                          gamma_init=g0, tol=0.0, max_outer=20)
+    report = solve(problem, params)
+    updates = [e for e in report.events if e["event"] == "strong-schedule-update"]
+    assert len(report.events) == 23 and len(updates) == 8
+    mu = problem.mu_total()
+    gammas = [g0] * problem.m
+    for e in report.events:
+        if e["event"] == "gamma-safeguard":
+            assert e["old"] == gammas[e["block"]] and e["new"] == 3.0 * e["old"]
+            gammas[e["block"]] = e["new"]
+            continue
+        M = BlockTriangular(list(gammas), problem.ops())
+        assert e["theta"] == alpha * mu / (8.0 * M.p_norm())
+        assert e["k0"] == 4.0 * M.scaled_p_norm() / (alpha * (1.0 - alpha))
+    assert gammas == report.gammas
+    assert (report.theta, report.k0) == (updates[-1]["theta"], updates[-1]["k0"])
 
 
 def test_history_csv_schema(tmp_path):
