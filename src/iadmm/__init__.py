@@ -9,8 +9,7 @@ makes the sweep order harmless.
 
 from .blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D,
                          HaarMap, LinearMap, ScaledIdentity, VStack, ZeroMap,
-                         load_dense, load_vector, save_dense, save_vector,
-                         spectral_norm)
+                         load_vector, save_vector, spectral_norm)
 from .diagnostics import (CheckRow, RateFit, ReferencePair, energy, kkt_error,
                           lagrangian_gap, rate_fit, two_step_ratio)
 from .errors import (CertificationError, ConfigError, IadmmError,
@@ -18,16 +17,14 @@ from .errors import (CertificationError, ConfigError, IadmmError,
 from .inner import (InnerConfig, InnerResult, InnerTrace, line_search_accept,
                     params_adaptive, params_constant, run_inner)
 from .oracle import solve_qp_kkt, subproblem_minimizer
-from .outer import (History, SolveReport, SolverParams, exact_block_step,
-                    gamma_compatible, rho_strong, solve, step2_epsilon,
-                    step3_update)
+from .outer import (History, SolveReport, SolverParams, gamma_compatible,
+                    solve, step3_update)
 from .problem import Block, ProblemSpec
 from .problems import (CorpusEntry, SeparableBlur, from_id, gaussian_kernel,
                        gen_imaging, gen_lasso, gen_qp)
-from .proxlib import (ProxTerm, SmoothTerm, box_prox, group_l2_prox,
-                      group_shrink, l1_prox, pair_groups, project_box,
-                      quadratic, quadratic_smooth, soft_threshold, zero_prox,
-                      zero_smooth)
+from .proxlib import (ProxTerm, SmoothTerm, group_l2_prox, group_shrink,
+                      l1_prox, pair_groups, quadratic, quadratic_smooth,
+                      soft_threshold, zero_prox, zero_smooth)
 from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"

@@ -384,7 +384,7 @@ class _SymmetricCallable(LinearMap):
     adjoint = apply
 
 
-def spectral_norm(op, tol=1e-8, max_iters=10000, seed=POWER_SEED):
+def spectral_norm(op, tol=1e-8, max_iters=10000):
     """Largest singular value of ``op`` by power iteration on ``op^T op``.
 
     Deterministic: the starting vector comes from a fixed-seed generator.
@@ -395,7 +395,7 @@ def spectral_norm(op, tol=1e-8, max_iters=10000, seed=POWER_SEED):
 
     if op.cols == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(op.cols)
     nv = np.linalg.norm(v)
     if nv == 0.0:
@@ -550,17 +550,17 @@ class BlockTriangular:
         return self._scaled_p_norm
 
 
-def save_dense(path, mat):
-    """Write a dense matrix as plain text: ``rows cols`` then row-major entries."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+def save_vector(path, v):
+    """Write a vector as plain text: a ``rows 1`` header, then one ``%.17g`` entry per line."""
+    v = _vec(v)
     with open(path, "w") as fh:
-        fh.write("%d %d\n" % mat.shape)
-        for row in mat:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+        fh.write("%d 1\n" % v.size)
+        for x in v:
+            fh.write("%.17g\n" % x)
 
 
-def load_dense(path):
-    """Read a matrix written by :func:`save_dense`."""
+def load_vector(path):
+    """Read a vector written by :func:`save_vector`."""
     with open(path) as fh:
         head = fh.readline().split()
         if len(head) != 2:
@@ -572,15 +572,6 @@ def load_dense(path):
             raise StructuralError("cannot parse %s: %s" % (path, exc)) from exc
     if data.size != r * c:
         raise StructuralError("expected %d entries in %s, found %d" % (r * c, path, data.size))
-    return data.reshape(r, c)
-
-
-def save_vector(path, v):
-    save_dense(path, _vec(v).reshape(-1, 1))
-
-
-def load_vector(path):
-    mat = load_dense(path)
-    if mat.shape[1] != 1:
-        raise StructuralError("expected a single-column vector file, got %s" % (mat.shape,))
-    return mat[:, 0].copy()
+    if c != 1:
+        raise StructuralError("expected a single-column vector file, got %s" % ((r, c),))
+    return data.reshape(-1)

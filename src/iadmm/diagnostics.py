@@ -23,7 +23,7 @@ from .errors import CertificationError, ConfigError, StructuralError
 log = logging.getLogger(__name__)
 
 
-def kkt_error(x, lam, problem, tau=1.0):
+def kkt_error(x, lam, problem):
     """First-order optimality error of a primal-dual candidate.
 
     Sum of the constraint residual norm and, per block, the prox-residual
@@ -33,8 +33,8 @@ def kkt_error(x, lam, problem, tau=1.0):
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
     total = float(np.linalg.norm(problem.residual(x)))
     for blk, xi in zip(problem.blocks, x.blocks):
-        step = xi - tau * (blk.smooth.grad(xi) + blk.op.adjoint(lam))
-        total += float(np.linalg.norm(xi - blk.nonsmooth.prox(step, tau)))
+        step = xi - (blk.smooth.grad(xi) + blk.op.adjoint(lam))
+        total += float(np.linalg.norm(xi - blk.nonsmooth.prox(step, 1.0)))
     return total
 
 
@@ -42,17 +42,17 @@ class ReferencePair:
     """A primal-dual solution pair certified at construction.
 
     Construction fails with :class:`CertificationError` unless the KKT
-    error is at most ``tol`` (default ``1e-9``).
+    error is at most ``1e-9``.
     """
 
-    def __init__(self, problem, x_star, lam_star, source="unknown", tol=1e-9):
+    def __init__(self, problem, x_star, lam_star, source="unknown"):
         if not isinstance(x_star, BlockVector):
             x_star = BlockVector(x_star)
         lam_star = np.asarray(lam_star, dtype=np.float64).reshape(-1)
         err = kkt_error(x_star, lam_star, problem)
-        if not err <= tol:
+        if not err <= 1e-9:
             raise CertificationError(
-                "candidate pair from %r has KKT error %.3e > %.1e" % (source, err, tol),
+                "candidate pair from %r has KKT error %.3e > 1.0e-09" % (source, err),
                 measured=err,
             )
         self.x_star = x_star.copy()
@@ -125,10 +125,10 @@ def rate_fit(ks, values, window):
                    residual=resid, window=(float(lo), float(hi)), count=int(mask.sum()))
 
 
-def two_step_ratio(series, tail=50, floor=1e-300, rel_floor=None):
-    """Elementwise ratios ``s[k+2] / s[k]`` and their max over the tail.
+def two_step_ratio(series, rel_floor=None):
+    """Elementwise ratios ``s[k+2] / s[k]`` and their max over the last 50.
 
-    The series is truncated at the first entry below ``floor`` so that
+    The series is truncated at the first entry below ``1e-300`` so that
     ratios never divide by numerically dead values; ``rel_floor``
     expresses the cut relative to the largest entry, which is the right
     scale when a geometric tail bottoms out in rounding noise.  Returns
@@ -136,6 +136,7 @@ def two_step_ratio(series, tail=50, floor=1e-300, rel_floor=None):
     usable entries remain.
     """
     s = np.asarray(series, dtype=np.float64)
+    floor = 1e-300
     if rel_floor is not None and s.size and np.isfinite(s).any():
         floor = max(floor, float(np.nanmax(s)) * rel_floor)
     alive = np.nonzero(s < floor)[0]
@@ -144,8 +145,7 @@ def two_step_ratio(series, tail=50, floor=1e-300, rel_floor=None):
     if s.size < 3:
         return None, None
     ratios = s[2:] / s[:-2]
-    tail_r = ratios[-int(tail):] if tail else ratios
-    return ratios, float(np.max(tail_r))
+    return ratios, float(np.max(ratios[-50:]))
 
 
 @dataclass

@@ -137,19 +137,15 @@ def params_constant(l, zeta, sigma):
     return delta, alpha
 
 
-def line_search_accept(smooth, a_bar, a, delta, alpha, sigma,
-                       f_bar=None, grad_bar=None, f_a=None):
+def line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, grad_bar):
     """Descent test comparing ``f`` at ``a`` with its model around ``a_bar``.
 
     Accepts when
     ``f(a_bar) + <grad f(a_bar), a - a_bar> + (1 - sigma) delta / (2 alpha)
-    * ||a - a_bar||^2 >= f(a)`` up to a tiny relative slack.  Cached
-    values may be passed to avoid re-evaluation.
+    * ||a - a_bar||^2 >= f(a)`` up to a tiny relative slack, given
+    ``f_bar = f(a_bar)`` and ``grad_bar = grad f(a_bar)``.
     """
-    if f_bar is None or grad_bar is None:
-        f_bar, grad_bar = smooth.value_grad(a_bar)
-    if f_a is None:
-        f_a = smooth.value(a)
+    f_a = smooth.value(a)
     d = a - a_bar
     lhs = f_bar + float(grad_bar @ d) + (1.0 - sigma) * delta / (2.0 * alpha) * float(d @ d)
     return lhs >= f_a - _LS_SLACK * (1.0 + abs(f_a))

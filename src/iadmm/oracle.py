@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .blockspace import BlockVector
-from .diagnostics import ReferencePair, kkt_error
+from .diagnostics import ReferencePair
 from .errors import ConfigError, NumericError
 from .problem import Block, ProblemSpec
 
 
-def solve_qp_kkt(problem: ProblemSpec, tol=1e-9):
+def solve_qp_kkt(problem: ProblemSpec):
     """Solve an equality-constrained QP by one dense pivoted KKT solve.
 
     Every block must have a quadratic smooth term (explicit Hessian) and
@@ -47,11 +47,10 @@ def solve_qp_kkt(problem: ProblemSpec, tol=1e-9):
     sol = np.linalg.solve(kkt, rhs)
     x = BlockVector.from_flat(sol[:n], dims)
     lam = sol[n:].copy()
-    return ReferencePair(problem, x, lam, source="kkt-solve", tol=tol)
+    return ReferencePair(problem, x, lam, source="kkt-solve")
 
 
-def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i,
-                         tol=1e-12, max_iters=10 ** 6):
+def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i, tol=1e-12):
     """High-accuracy minimizer of one block's exact subproblem.
 
     The subproblem is ``f(u) + h(u) + (rho/2) ||A u - b_i + lam/rho||^2
@@ -60,7 +59,7 @@ def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i,
     their gradient is ``rho * w_pen + rho * gamma_i * (u - y_i)`` with a
     constant ``w_pen``; smooth problems with explicit Hessians use a
     dense solve, everything else runs plain proximal gradient until the
-    unit-step prox residual falls below ``tol``.
+    unit-step prox residual falls below ``tol`` (within a million steps).
     """
     smooth, nonsmooth, op = block.smooth, block.nonsmooth, block.op
     y_i = np.asarray(y_i, dtype=np.float64).reshape(-1)
@@ -82,7 +81,7 @@ def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i,
         return smooth.grad(u) + rho * w_pen + rho * gamma_i * (u - y_i)
 
     u = y_i.copy()
-    for _ in range(max_iters):
+    for _ in range(10 ** 6):
         g = grad_g(u)
         res = float(np.linalg.norm(u - nonsmooth.prox(u - g, 1.0)))
         if res <= tol:

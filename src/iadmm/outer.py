@@ -20,6 +20,7 @@ subproblem oracle (useful for references and cross-checks).
 
 from __future__ import annotations
 
+import collections
 import csv
 import math
 import time
@@ -80,14 +81,16 @@ class SolverParams:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
         for name in ("rho", "gamma_init", "exact_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError("%s must be positive" % name)
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError("%s must be positive and finite" % name)
+        # tol=inf is legal: the solve stops after one sweep
         if not self.tol >= 0.0:
             raise ConfigError("tol must be nonnegative")
         if self.gamma_mode not in ("power", "safeguard"):
             raise ConfigError("unknown gamma_mode %r" % (self.gamma_mode,))
-        if not self.max_outer >= 1:
-            raise ConfigError("max_outer must be at least 1")
+        if (isinstance(self.max_outer, bool) or not isinstance(self.max_outer, (int, np.integer))
+                or self.max_outer < 1):
+            raise ConfigError("max_outer must be an integer of at least 1")
         if self.x0 is not None:
             if not isinstance(self.x0, BlockVector):
                 raise ConfigError("x0 must be a BlockVector")
@@ -179,25 +182,11 @@ class SolveReport:
     certificate: Optional[dict] = None
 
 
-def step2_epsilon(yz_gap, feas, R):
-    """Combined residual ``||z-y|| + ||Az-b|| + sqrt(R)``."""
-    if R < 0.0:
-        R = 0.0
-    return float(yz_gap + feas + np.sqrt(R))
-
-
 def step3_update(M: BlockTriangular, y, z, lam, rho, alpha, residual):
     """Corrective step: back-substituted ``y`` update and multiplier ascent."""
     y_new = M.back_substitute(y, z, alpha)
     lam_new = lam + alpha * rho * residual
     return y_new, lam_new
-
-
-def rho_strong(k, k0, theta):
-    """Growing penalty ``rho_k = (k0 + k) * theta``."""
-    if theta <= 0.0 or k0 < 0.0:
-        raise ConfigError("strong-mode schedule needs theta > 0 and k0 >= 0")
-    return (k0 + k) * theta
 
 
 def _strong_schedule(M: BlockTriangular, mu, alpha):
@@ -212,44 +201,6 @@ def gamma_compatible(op, gamma, z_i, y_i):
     d = z_i - y_i
     ad = op.apply(d)
     return gamma * float(d @ d) >= float(ad @ ad)
-
-
-def exact_block_step(block, y_i, lam, b_i, rho, gamma_i, Gamma_prev, tol=1e-12):
-    """Oracle replacement of the inner loop (exact mode).
-
-    The subproblem is solved to high accuracy; the lookahead and the new
-    iterate coincide and the inexactness term vanishes.  The accuracy
-    weight is carried over unchanged (it is unused in this mode).
-    """
-    xbar = subproblem_minimizer(block, y_i, lam, b_i, rho, gamma_i, tol=tol)
-    return InnerResult(x_next=xbar, z=xbar.copy(), Gamma=Gamma_prev, r=0.0, iters=0)
-
-
-class _Recorder:
-    """Grows python lists during the solve; converts to arrays at the end."""
-
-    def __init__(self, with_ref, strong):
-        self.with_ref = with_ref
-        self.strong = strong
-        self.cols = {name: [] for name in
-                     ("k", "eps", "feas", "yz_gap", "R", "obj", "rho", "gamma1",
-                      "kkt", "q_gap_sq", "erg_obj")}
-        if with_ref:
-            for name in ("E", "delta_gap", "erg_gap"):
-                self.cols[name] = []
-            if strong:
-                self.cols["w_gap"] = []
-                self.cols["y_err_sq"] = []
-        self.Gammas = []
-
-    def append(self, **kv):
-        for name, val in kv.items():
-            self.cols[name].append(val)
-
-    def history(self):
-        arrays = {name: np.asarray(vals, dtype=np.float64)
-                  for name, vals in self.cols.items()}
-        return History(Gammas=self.Gammas, **arrays)
 
 
 def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
@@ -296,7 +247,10 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         theta, k0 = _strong_schedule(M, mu, params.alpha)
 
     cfg = params.inner_config()
-    rec = _Recorder(with_ref=ref is not None, strong=strong)
+    # one list per history column; rows are not kept, as a dict per sweep
+    # would double the history's memory on long solves
+    cols = collections.defaultdict(list)
+    Gammas = []
     events = []
     Gamma = [0.0] * m
     eps_prev = float("inf")
@@ -306,13 +260,11 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     cause = "max-iterations"
     certificate = None
     cbar = None
-    x1 = x.copy()
-    lam1 = lam.copy()
     eps_k = float("nan")
     z = x.copy()
 
     for k in range(1, params.max_outer + 1):
-        rho_k = rho_strong(k, k0, theta) if strong else params.rho
+        rho_k = (k0 + k) * theta if strong else params.rho
 
         # --- step 1: sequential block sweep -------------------------------
         ay = [op.apply(yi) for op, yi in zip(ops, y.blocks)]
@@ -324,8 +276,11 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         for i in range(m):
             b_i = problem.b - c_full + ay[i]
             if exact:
-                res = exact_block_step(problem.blocks[i], y.blocks[i], lam, b_i,
-                                       rho_k, gammas[i], Gamma[i], tol=params.exact_tol)
+                # oracle solve: the lookahead and the new iterate coincide, the
+                # inexactness term vanishes and the accuracy weight carries over
+                xbar = subproblem_minimizer(problem.blocks[i], y.blocks[i], lam, b_i,
+                                            rho_k, gammas[i], tol=params.exact_tol)
+                res = InnerResult(x_next=xbar, z=xbar.copy(), Gamma=Gamma[i], r=0.0, iters=0)
             else:
                 floor = Gamma[i]
                 if strong and k >= 2:
@@ -347,7 +302,7 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         feas = float(np.linalg.norm(residual))
         yz = (y - z).norm()
         R = max(sum(r_vals), 0.0)
-        eps_k = step2_epsilon(yz, feas, R)
+        eps_k = float(yz + feas + np.sqrt(R))
         if not math.isfinite(eps_k):
             raise NumericError("residual eps_k is not finite",
                                context={"routine": "solve", "outer_iteration": k})
@@ -390,8 +345,9 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                 ztilde_sum = ztilde_sum + z * (k0 + k)
                 row["w_gap"] = lagrangian_gap(ztilde_sum * (1.0 / wsum), ref, problem)
                 row["y_err_sq"] = float("nan")  # patched after the corrective step
-        rec.append(**row)
-        rec.Gammas.append(tuple(Gamma))
+        for name, val in row.items():
+            cols[name].append(val)
+        Gammas.append(tuple(Gamma))
 
         if k == 1:
             if strong and ref is not None and min(Gamma) > 0.0:
@@ -416,11 +372,12 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         # --- step 3: corrective step ----------------------------------------
         y_new, lam = step3_update(M, y, z, lam, rho_k, params.alpha, residual)
         if strong and ref is not None:
-            rec.cols["y_err_sq"][-1] = (y_new - ref.x_star).norm_sq()
+            cols["y_err_sq"][-1] = (y_new - ref.x_star).norm_sq()
         x, y = x_next, y_new
         eps_prev = eps_k
 
-    history = rec.history()
+    history = History(Gammas=Gammas, **{
+        name: np.array(vals, dtype=np.float64) for name, vals in cols.items()})
     return SolveReport(
         cause=cause, iterations=int(history.k.size), eps=float(eps_k),
         x=x, y=y, z=z, lam=lam, gammas=list(gammas), history=history,

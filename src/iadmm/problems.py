@@ -132,31 +132,27 @@ def _rng(seed, attempt=0):
     return np.random.default_rng([int(seed), int(attempt), 0x1ADA])
 
 
-def gen_qp(seed, m=2, dims=None, n_rhs=None, mu=0.0, p_floor=None):
+def gen_qp(seed, m=2, mu=0.0, p_floor=None):
     """Random feasible equality-constrained QP with a dense-KKT reference.
 
-    Block Hessians are ``G_i^T G_i + mu I`` (so ``mu`` is a valid
-    strong-convexity modulus), constraints are dense Gaussian with a
-    feasible right-hand side.  With ``p_floor`` set, the constraint is
-    rescaled so the step metric ``P`` has smallest eigenvalue at least
-    ``p_floor``; this normalization makes plain Euclidean error bounds
-    comparable to ``P``-metric ones in the growing-penalty mode.
+    Every block has dimension 6 and the constraint ``2 m + 2`` rows.
+    Block Hessians are ``G_i^T G_i + mu I`` (so ``mu``, which must be
+    finite and nonnegative, is a valid strong-convexity modulus),
+    constraints are dense Gaussian with a feasible right-hand side.
+    With ``p_floor`` set, the constraint is rescaled so the step metric
+    ``P`` has smallest eigenvalue at least ``p_floor``; this
+    normalization makes plain Euclidean error bounds comparable to
+    ``P``-metric ones in the growing-penalty mode.
     Degenerate draws are retried with a sub-seed (logged).
     """
     m = int(m)
     if m < 1:
         raise ConfigError("need at least one block")
-    if dims is None:
-        dims = (6,) * m
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != m:
-        raise ConfigError("dims must have one entry per block")
-    if n_rhs is None:
-        n_rhs = 2 * m + 2
-    n_rhs = int(n_rhs)
-    if n_rhs > sum(dims):
-        raise ConfigError("constraint row count exceeds total dimension")
+    dims = (6,) * m
+    n_rhs = 2 * m + 2
     mu = float(mu)
+    if not 0.0 <= mu < np.inf:
+        raise ConfigError("mu must be finite and nonnegative, got %r" % mu)
 
     for attempt in range(10):
         rng = _rng(seed, attempt)
@@ -236,22 +232,19 @@ def _store_cached_reference(ident, ref):
     save_vector(path, np.concatenate([ref.x_star.to_flat(), ref.lam_star]))
 
 
-def gen_lasso(seed, m=2, dims=(8, 6), n_rhs=6, weights=(0.15, 0.1)):
+def gen_lasso(seed):
     """Quadratic-plus-l1 problem; reference from a certified exact-mode run.
 
-    Block 1 carries a least-squares term, every block carries a weighted
-    l1 term, and the constraint has a feasible right-hand side from a
+    Two blocks of dimensions 8 and 6 share 6 constraint rows.  Block 1
+    carries a least-squares term, the blocks carry l1 terms weighted
+    0.15 and 0.1, and the constraint has a feasible right-hand side from a
     sparse draw.  The reference pair is produced by running the solver in
     exact mode to a tiny residual and certifying the result; when the
     corpus cache directory is configured the pair is cached there.
     """
     from .outer import SolverParams, solve  # local import to avoid a cycle
 
-    m = int(m)
-    dims = tuple(int(d) for d in dims)
-    weights = tuple(float(w) for w in weights)
-    if len(dims) != m or len(weights) != m:
-        raise ConfigError("dims and weights must have one entry per block")
+    dims, n_rhs, weights = (8, 6), 6, (0.15, 0.1)
     rng = _rng(seed)
     blocks = []
     data = {}
@@ -309,14 +302,15 @@ def gaussian_kernel(sigma=0.8, radius=2):
 
 
 def gen_imaging(seed, side=32, tv_weight=1e-2, l1_weight=1e-3,
-                blur_sigma=0.8, blur_radius=2, noise=1e-3, levels=4):
+                blur_sigma=0.8, blur_radius=2):
     """Three-block deblurring model on a synthetic piecewise-constant image.
 
     Variables are the image ``u``, its gradient field ``w`` (two
-    interleaved components per pixel), and its wavelet coefficients
-    ``v``; the constraints ``B u = w`` and ``Psi^T u = v`` are stacked
-    into one system with right-hand side zero.  No closed-form reference
-    exists; use exact-mode runs for cross-checks.
+    interleaved components per pixel), and its 4-level wavelet
+    coefficients ``v``; the constraints ``B u = w`` and ``Psi^T u = v``
+    are stacked into one system with right-hand side zero.  The data is
+    the blurred image plus Gaussian noise of standard deviation ``1e-3``.
+    No closed-form reference exists; use exact-mode runs for cross-checks.
     """
     side = int(side)
     if side < 16 or side & (side - 1):
@@ -326,7 +320,7 @@ def gen_imaging(seed, side=32, tv_weight=1e-2, l1_weight=1e-3,
     u_true = _piecewise_constant_image(rng, side)
     kernel = gaussian_kernel(blur_sigma, blur_radius)
     F = SeparableBlur(side, kernel)
-    f_data = F.apply(u_true.reshape(-1)) + noise * rng.standard_normal(n)
+    f_data = F.apply(u_true.reshape(-1)) + 1e-3 * rng.standard_normal(n)
 
     # exact curvature bounds from the 1-d Toeplitz spectrum
     ev = np.linalg.eigvalsh(F.toeplitz())
@@ -335,7 +329,7 @@ def gen_imaging(seed, side=32, tv_weight=1e-2, l1_weight=1e-3,
     smooth1 = quadratic_smooth(F, f_data, lipschitz=lip, modulus=mod)
 
     B = Grad2D(side)
-    W = HaarMap(side, levels=levels)
+    W = HaarMap(side, levels=4)
     A1 = VStack([B, W])
     A2 = VStack([ScaledIdentity(2 * n, -1.0), ZeroMap(n, 2 * n)])
     A3 = VStack([ZeroMap(2 * n, n), ScaledIdentity(n, -1.0)])
@@ -365,7 +359,10 @@ def from_id(ident):
     m = _QP_RE.match(ident)
     if m:
         seed, nblocks, mu = int(m.group(1)), int(m.group(2)), m.group(3)
-        mu = float(mu) if mu else 0.0
+        try:
+            mu = float(mu) if mu else 0.0
+        except ValueError:
+            raise ConfigError("unknown problem id %r" % (ident,)) from None
         return gen_qp(seed, m=nblocks, mu=mu, p_floor=1.25 if mu > 0 else None)
     m = _LASSO_RE.match(ident)
     if m:

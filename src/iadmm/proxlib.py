@@ -10,12 +10,12 @@ by the desk-scale oracles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .blockspace import DenseMap, LinearMap
+from .blockspace import LinearMap
 from .errors import ConfigError, StructuralError
 
 
@@ -33,22 +33,16 @@ class SmoothTerm:
     evaluation that shares the work of the two, such as ``H x`` of a
     quadratic or the residual ``F u - f`` of a least-squares term; the
     inner loop calls it once per trial.  Its results must be bitwise
-    those of ``value`` and ``grad``.  A term built without one gets
-    ``value`` and ``grad`` composed.
+    those of ``value`` and ``grad``.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
+    value_grad: Callable[[np.ndarray], tuple]
     lipschitz: Optional[float] = None
     modulus: float = 0.0
     hessian: Optional[np.ndarray] = None
     linear: Optional[np.ndarray] = None
-    value_grad: Optional[Callable[[np.ndarray], tuple]] = None
-
-    def __post_init__(self):
-        if self.value_grad is None:
-            value, grad = self.value, self.grad
-            self.value_grad = lambda x: (value(x), grad(x))
 
     @property
     def is_zero(self):
@@ -98,15 +92,6 @@ def group_shrink(y, t, groups):
     out = np.empty_like(y)
     out[groups] = g * scale[:, None]
     return out
-
-
-def project_box(y, lo, hi):
-    """Project onto the box ``[lo, hi]`` (componentwise)."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo > hi):
-        raise ConfigError("box bounds must satisfy lo <= hi")
-    return np.clip(np.asarray(y, dtype=np.float64), lo, hi)
 
 
 def pair_groups(n_pairs):
@@ -161,8 +146,6 @@ def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
     for rank-deficient ``F``); both come from a dense eigendecomposition,
     which is fine at desk scale.
     """
-    if isinstance(F, np.ndarray):
-        F = DenseMap(F)
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.size != F.rows:
         raise StructuralError("data vector does not match operator rows")
@@ -228,18 +211,3 @@ def group_l2_prox(weight, groups):
         value=value,
         prox=lambda y, tau: group_shrink(y, weight * tau, groups),
     )
-
-
-def box_prox(lo, hi, feas_slack=1e-12):
-    """Indicator of the box ``[lo, hi]``; prox is the projection."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo > hi):
-        raise ConfigError("box bounds must satisfy lo <= hi")
-
-    def value(y):
-        y = np.asarray(y, dtype=np.float64)
-        inside = np.all(y >= lo - feas_slack) and np.all(y <= hi + feas_slack)
-        return 0.0 if inside else float("inf")
-
-    return ProxTerm(value=value, prox=lambda y, tau: project_box(y, lo, hi))

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .inner import InnerConfig, run_inner
 from .oracle import subproblem_minimizer
 from .outer import SolverParams, solve
-from .problems import from_id, gen_qp
+from .problems import from_id
 from .proxlib import l1_prox, quadratic, zero_prox
 
 log = logging.getLogger(__name__)
@@ -48,10 +48,11 @@ def _row(name, index, lhs, rhs, slack=0.0):
                     bool(lhs <= rhs + slack))
 
 
-def operator_rows(entry, rng=None, pairs=20):
+def operator_rows(entry, rng=None):
     """Adjoint, orthonormality, back-substitution and P-norm checks.
 
-    Works on any corpus entry.  The dense P-norm oracle is skipped for
+    Works on any corpus entry; each adjoint check takes the worst of 20
+    random pairs.  The dense P-norm oracle is skipped for
     problems whose total dimension makes assembling M unreasonable.
     """
     rng = np.random.default_rng(0x0B5E) if rng is None else rng
@@ -60,7 +61,7 @@ def operator_rows(entry, rng=None, pairs=20):
     for i, blk in enumerate(problem.blocks):
         op = blk.op
         worst = 0.0
-        for _ in range(pairs):
+        for _ in range(20):
             u = rng.standard_normal(op.cols)
             v = rng.standard_normal(op.rows)
             lhs = float(v @ op.apply(u))
@@ -120,15 +121,16 @@ def _random_subproblem(rng, dim=6):
     return Block(quadratic(H, c, modulus=0.5), nonsmooth, A)
 
 
-def inner_rows(seed=0, subproblems=6, max_len=40):
+def inner_rows(seed=0):
     """Step-size coupling and the per-block convergence estimate.
 
-    For each random strongly convex subproblem the inner loop is forced
-    to run L iterations; the accumulated estimate
+    For each of 6 random strongly convex subproblems per rule the inner
+    loop is forced to run L = 1..40 iterations; the accumulated estimate
     ``(rho*gamma_i + L*mu_h/2)*||a - xbar||^2 + (sigma/gamma)*sum xi*||du||^2``
     must stay below ``||x - xbar||^2 / gamma`` (plus slack) for every L,
     with xbar supplied by an independent minimizer.
     """
+    subproblems, max_len = 6, 40
     rng = np.random.default_rng([seed, 0x1A11])
     rows = []
     for rule in ("constant", "adaptive"):
@@ -167,25 +169,23 @@ def inner_rows(seed=0, subproblems=6, max_len=40):
     return rows
 
 
-def decay_suite_rows(problem_id="qp-2-m2", alpha=0.5, iters=400):
+def _tracked_solve(problem_id, **params):
+    """Solve a corpus entry with its certified reference tracked."""
+    entry = from_id(problem_id)
+    if entry.reference is None:
+        raise ConfigError("suite needs a certified reference: %s" % problem_id)
+    return solve(entry.problem, SolverParams(**params), ref=entry.reference)
+
+
+def decay_suite_rows(problem_id="qp-2-m2"):
     """Per-sweep energy decrease on a reference-tracked quadratic run."""
-    entry = from_id(problem_id)
-    if entry.reference is None:
-        raise ConfigError("suite needs a certified reference: %s" % problem_id)
-    params = SolverParams(mode="convex", rule="adaptive", rho=1.0,
-                          alpha=alpha, tol=0.0, max_outer=iters)
-    report = solve(entry.problem, params, ref=entry.reference)
-    return decay_rows(report)
+    return decay_rows(_tracked_solve(problem_id, alpha=0.5, tol=0.0, max_outer=400))
 
 
-def ergodic_suite_rows(problem_id="qp-3-m2", alpha=0.5, iters=600):
+def ergodic_suite_rows(problem_id="qp-3-m2"):
     """Averaged-iterate gap bound plus its fitted decay slope."""
-    entry = from_id(problem_id)
-    if entry.reference is None:
-        raise ConfigError("suite needs a certified reference: %s" % problem_id)
-    params = SolverParams(mode="convex", rule="adaptive", rho=1.0,
-                          alpha=alpha, tol=0.0, max_outer=iters)
-    report = solve(entry.problem, params, ref=entry.reference)
+    iters = 600
+    report = _tracked_solve(problem_id, alpha=0.5, tol=0.0, max_outer=iters)
     rows = ergodic_rows(report)
     fit = rate_fit(report.history.k, report.history.erg_gap, (50, iters))
     rows.append(_row("ergodic-slope", iters, fit.slope, ERGODIC_SLOPE))
@@ -202,14 +202,10 @@ def _floored_fit(ks, vals, lo, hi, floor):
     return rate_fit(ks[ok], vals[ok], (lo, hi)), hi
 
 
-def strong_suite_rows(problem_id="qp-2-m2-mu0.5", alpha=0.5, iters=300):
+def strong_suite_rows(problem_id="qp-2-m2-mu0.5"):
     """Growing-penalty bounds, schedule monotonicity and slope fits."""
-    entry = from_id(problem_id)
-    if entry.reference is None:
-        raise ConfigError("suite needs a certified reference: %s" % problem_id)
-    params = SolverParams(mode="strong", rule="adaptive", rho=1.0,
-                          alpha=alpha, tol=0.0, max_outer=iters)
-    report = solve(entry.problem, params, ref=entry.reference)
+    iters = 300
+    report = _tracked_solve(problem_id, mode="strong", alpha=0.5, tol=0.0, max_outer=iters)
     rows = strong_rows(report)
     h = report.history
     fit_w, hi_w = _floored_fit(h.k, h.w_gap, 20, iters, 1e-16)
@@ -219,15 +215,10 @@ def strong_suite_rows(problem_id="qp-2-m2-mu0.5", alpha=0.5, iters=300):
     return rows
 
 
-def linear_suite_rows(problem_id="lasso-1", alpha=0.8, tol=1e-9):
+def linear_suite_rows(problem_id="lasso-1"):
     """Geometric tail of the best-case energy on a polyhedral problem."""
-    entry = from_id(problem_id)
-    if entry.reference is None:
-        raise ConfigError("suite needs a certified reference: %s" % problem_id)
-    params = SolverParams(mode="convex", rule="adaptive", rho=1.0,
-                          alpha=alpha, tol=tol, max_outer=50_000)
-    report = solve(entry.problem, params, ref=entry.reference)
-    ratios, tail_max = two_step_ratio(report.history.E, tail=50)
+    report = _tracked_solve(problem_id, alpha=0.8, tol=1e-9, max_outer=50_000)
+    ratios, tail_max = two_step_ratio(report.history.E)
     if tail_max is None:
         raise ConfigError("energy tail too short for the ratio test")
     rows = [_row("two-step-tail-max", report.iterations, tail_max, 1.0)]

@@ -238,7 +238,7 @@ def test_criterion_07_geometric_tail(capsys):
             params = SolverParams(mode="convex", rule="adaptive", rho=1.0,
                                   alpha=0.8, tol=1e-9, max_outer=50_000)
             rep = solve(entry.problem, params, ref=entry.reference)
-            ratios, tail_max = two_step_ratio(rep.history.E, tail=50)
+            ratios, tail_max = two_step_ratio(rep.history.E)
             tails.append(tail_max)
             all_ok = all_ok and tail_max is not None and tail_max < 1.0
             print("  %s: %d sweeps, two-step ratio tail max %.4f, full series:"

@@ -12,9 +12,7 @@ from iadmm.blockspace import (
     ScaledIdentity,
     VStack,
     ZeroMap,
-    load_dense,
     load_vector,
-    save_dense,
     save_vector,
     spectral_norm,
 )
@@ -230,14 +228,15 @@ def test_triangular_rejects_bad_gammas():
 
 def test_dense_text_round_trip(tmp_path):
     rng = np.random.default_rng(37)
-    A = rng.standard_normal((4, 3))
-    path = tmp_path / "mat.txt"
-    save_dense(path, A)
-    B = load_dense(path)
-    assert B.shape == (4, 3)
-    assert np.array_equal(A, B)
     v = rng.standard_normal(6)
     vpath = tmp_path / "vec.txt"
     save_vector(vpath, v)
+    assert vpath.read_text().splitlines()[0] == "6 1"
     w = load_vector(vpath)
     assert np.array_equal(v, w)
+    # a header, an entry count or a column count that does not fit is refused
+    for text in ("6\n1\n", "2 1\n1\nx\n", "3 1\n1\n2\n", "2 2\n1 2\n3 4\n"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(StructuralError):
+            load_vector(bad)

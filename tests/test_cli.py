@@ -86,6 +86,17 @@ def test_solve_unknown_problem_exits_one(tmp_path, capsys):
     assert "mystery-9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ident", ["qp-1-m2-mu.", "qp-1-m2-mu1e999", "qp-1-m2-mu-1"])
+def test_solve_bad_mu_exits_one(tmp_path, capsys, ident):
+    # a modulus that does not parse, overflows or is negative is refused
+    # before any problem is built
+    rc = main(["solve", "--problem", ident, "--max-outer", "50",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_solve_exact_mode(tmp_path):
     out = tmp_path / "exact.csv"
     rc = main(["solve", "--problem", "qp-1-m2", "--mode", "exact",
@@ -141,6 +152,19 @@ def test_rates_strong_csv(tmp_path):
     assert set(rows) == {"weighted-gap", "y-error-sq"}
     assert float(rows["weighted-gap"][3]) <= -1.8
     assert float(rows["y-error-sq"][3]) <= -1.8
+
+
+def test_rates_polyhedral_two_step_row(tmp_path):
+    # l1 problems add the two-step energy ratio, cut before rounding noise
+    out = tmp_path / "rates.csv"
+    rc = main(["rates", "--problem", "lasso-1", "--alpha", "0.8", "--max-outer", "600",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out) as fh:
+        rows = {r[0]: r for r in list(csv.reader(fh))[1:]}
+    assert set(rows) == {"ergodic-gap", "two-step-tail-max"}
+    assert rows["two-step-tail-max"][1:3] == ["433", "485"]
+    assert float(rows["two-step-tail-max"][3]) < 1.0
 
 
 def test_rates_missing_reference_exits_one(tmp_path, capsys):

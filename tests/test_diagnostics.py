@@ -238,24 +238,25 @@ def test_rate_fit_domain_errors():
 
 def test_two_step_ratio_geometric_series():
     s = 10.0 * (0.5 ** np.arange(60))
-    ratios, tail_max = two_step_ratio(s, tail=20)
+    ratios, tail_max = two_step_ratio(s)
     assert tail_max == pytest.approx(0.25, rel=1e-12)
     assert ratios.size == 58
 
 
 def test_two_step_ratio_truncates_dead_tail():
     s = np.concatenate([10.0 * (0.5 ** np.arange(40)), np.zeros(10)])
-    ratios, tail_max = two_step_ratio(s, tail=10, floor=1e-9)
+    ratios, tail_max = two_step_ratio(s)
     assert tail_max == pytest.approx(0.25, rel=1e-12)
+    assert ratios.size == 38  # the zero tail is cut before any ratio
     # relative floor removes stagnating rounding noise as well
     s2 = np.concatenate([10.0 * (0.5 ** np.arange(40)),
                          np.full(10, 1e-13)])
-    _, tm2 = two_step_ratio(s2, tail=10, rel_floor=1e-11)
+    _, tm2 = two_step_ratio(s2, rel_floor=1e-11)
     assert tm2 == pytest.approx(0.25, rel=1e-12)
 
 
 def test_two_step_ratio_short_series():
-    ratios, tail_max = two_step_ratio([1.0, 0.5], tail=5)
+    ratios, tail_max = two_step_ratio([1.0, 0.5])
     assert ratios is None and tail_max is None
 
 

@@ -72,13 +72,16 @@ def test_line_search_accept_quadratic():
     term = quadratic(np.array([[L]]), np.zeros(1))
     a_bar = np.array([1.0])
     a = np.array([0.0])
-    assert line_search_accept(term, a_bar, a, delta=4.0, alpha=1.0, sigma=0.0)
-    assert not line_search_accept(term, a_bar, a, delta=3.9, alpha=1.0,
-                                  sigma=0.0)
+    f_bar, grad_bar = term.value_grad(a_bar)
+
+    def accept(delta, sigma):
+        return line_search_accept(term, a_bar, a, delta, 1.0, sigma, f_bar, grad_bar)
+
+    assert accept(4.0, 0.0)
+    assert not accept(3.9, 0.0)
     # positive sigma tightens the requirement to delta/alpha >= L/(1-sigma)
-    assert line_search_accept(term, a_bar, a, delta=8.0, alpha=1.0, sigma=0.5)
-    assert not line_search_accept(term, a_bar, a, delta=7.9, alpha=1.0,
-                                  sigma=0.5)
+    assert accept(8.0, 0.5)
+    assert not accept(7.9, 0.5)
 
 
 def test_params_adaptive_first_step_alpha_one():

@@ -89,6 +89,7 @@ def test_subproblem_minimizer_direct_vs_iterative():
     # force the iterative branch by hiding the Hessian
     blind = Block(
         type(blk.smooth)(value=blk.smooth.value, grad=blk.smooth.grad,
+                         value_grad=blk.smooth.value_grad,
                          lipschitz=blk.smooth.lipschitz,
                          modulus=blk.smooth.modulus),
         blk.nonsmooth, blk.op)

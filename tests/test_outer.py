@@ -9,15 +9,7 @@ import iadmm.outer
 from iadmm.blockspace import BlockTriangular, BlockVector, DenseMap
 from iadmm.errors import ConfigError, NumericError, StructuralError
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
-from iadmm.outer import (
-    SolverParams,
-    exact_block_step,
-    gamma_compatible,
-    rho_strong,
-    solve,
-    step2_epsilon,
-    step3_update,
-)
+from iadmm.outer import SolverParams, gamma_compatible, solve, step3_update
 from iadmm.problem import Block, ProblemSpec
 from iadmm.problems import from_id, gen_qp
 from iadmm.proxlib import quadratic, zero_prox
@@ -43,10 +35,11 @@ def test_problem_spec_rejects_non_finite_b(bad):
 
 
 def test_step2_epsilon_arithmetic():
-    # plain sum with the square root on the accumulated r-term
-    assert step2_epsilon(1.0, 2.0, 9.0) == pytest.approx(1.0 + 2.0 + 3.0)
-    # negative accumulated term is clipped (guards rounding at zero)
-    assert step2_epsilon(0.0, 0.0, -1e-30) == 0.0
+    # eps_k is the plain sum ||z - y|| + ||A z - b|| + sqrt(R_k), bitwise
+    entry = from_id("qp-1-m2")
+    h = solve(entry.problem, SolverParams(tol=0.0, max_outer=50)).history
+    assert np.all(h.R >= 0.0)
+    assert np.array_equal(h.eps, h.yz_gap + h.feas + np.sqrt(h.R))
 
 
 def test_step3_update_worked_example():
@@ -81,12 +74,14 @@ def test_step3_update_solves_triangular_system():
 
 
 def test_rho_strong_schedule():
-    # theta = alpha*mu/(8||P||); with alpha=.5, mu=2, ||P||=1: theta=1/8
-    assert rho_strong(1, k0=0.0, theta=0.125) == pytest.approx(0.125)
-    assert rho_strong(4, k0=2.0, theta=0.125) == pytest.approx(0.75)
-    # the schedule grows linearly in k
-    assert (rho_strong(10, 3.0, 0.2) - rho_strong(9, 3.0, 0.2)
-            == pytest.approx(0.2))
+    # the growing penalty is rho_k = (k0 + k) * theta, bitwise, with theta
+    # and k0 fixed by the power-iteration weights
+    entry = from_id("qp-2-m2-mu0.5")
+    params = SolverParams(mode="strong", alpha=0.5, tol=0.0, max_outer=30)
+    report = solve(entry.problem, params)
+    h = report.history
+    assert report.theta > 0.0 and report.k0 >= 0.0
+    assert np.array_equal(h.rho, (report.k0 + h.k) * report.theta)
 
 
 def test_gamma_compatible_matches_definition():
@@ -104,17 +99,21 @@ def test_gamma_compatible_matches_definition():
 
 
 def test_exact_block_step_matches_dense_solve():
-    blk_problem = _hand_qp()
-    blk = blk_problem.blocks[0]
-    y_i = np.array([0.3])
-    lam = np.array([0.2])
-    b_i = np.array([1.1])
-    rho, gamma_i = 1.5, 2.0
-    res = exact_block_step(blk, y_i, lam, b_i, rho, gamma_i, Gamma_prev=7.0)
-    truth = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
-    assert np.allclose(res.x_next, truth, atol=1e-12)
-    assert np.array_equal(res.x_next, res.z)
-    assert res.Gamma == 7.0 and res.r == 0.0
+    # one exact-mode sweep from zero: each block is the dense subproblem
+    # solution against the newest point of the block before it, the
+    # lookahead equals the new iterate and the inexactness term vanishes
+    problem = _hand_qp()
+    report = solve(problem, SolverParams(mode="exact", tol=0.0, max_outer=1))
+    rho, lam = 1.0, np.zeros(1)
+    gammas = problem.gammas_power()
+    b_0 = problem.b - problem.blocks[1].op.apply(np.zeros(1))
+    z_0 = subproblem_minimizer(problem.blocks[0], np.zeros(1), lam, b_0, rho, gammas[0])
+    b_1 = problem.b - problem.blocks[0].op.apply(z_0)
+    z_1 = subproblem_minimizer(problem.blocks[1], np.zeros(1), lam, b_1, rho, gammas[1])
+    assert np.allclose(report.z.to_flat(), np.concatenate([z_0, z_1]), atol=1e-12)
+    assert np.array_equal(report.x.to_flat(), report.z.to_flat())
+    assert report.history.R.tolist() == [0.0]
+    assert report.history.Gammas == [(0.0, 0.0)]
 
 
 def test_solver_params_validation():
@@ -132,6 +131,9 @@ def test_solver_params_validation():
         SolverParams(rho=0.0)
     with pytest.raises(ConfigError):
         SolverParams(tol=-1.0)
+    # an infinite tolerance is legal: the solve stops after one sweep
+    report = solve(_hand_qp(), SolverParams(tol=float("inf")))
+    assert (report.cause, report.iterations) == ("tolerance", 1)
 
 
 def test_solver_params_fields():
@@ -148,7 +150,12 @@ def test_solver_params_fields():
     ("sigma", float("nan")),
     ("gamma_init", float("nan")),
     ("exact_tol", float("nan")),
+    ("rho", float("inf")),
+    ("gamma_init", float("inf")),
+    ("exact_tol", float("inf")),
     ("max_outer", 0),
+    ("max_outer", 2.5),
+    ("max_outer", True),
     ("rule", "newton"),
     pytest.param("x0", np.zeros(3), id="x0-array"),
     pytest.param("x0", BlockVector.from_flat(np.array([0.0, np.nan, 0.0]), (2, 1)),

@@ -54,6 +54,13 @@ def test_strong_qp_ids_apply_the_p_floor():
     assert from_id("qp-2-m2-mu0.5").extras["scale"] == 1.0
 
 
+@pytest.mark.parametrize("mu", [-1.0, float("inf"), float("nan")])
+def test_gen_qp_rejects_bad_mu(mu):
+    # G^T G + mu I is only a valid Hessian with modulus mu for finite mu >= 0
+    with pytest.raises(ConfigError, match="mu"):
+        gen_qp(1, m=2, mu=mu)
+
+
 def test_qp_reference_certified():
     entry = gen_qp(85, m=3)
     assert entry.reference.kkt <= 1e-9

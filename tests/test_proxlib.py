@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from iadmm.blockspace import DenseMap
-from iadmm.errors import ConfigError, StructuralError
 from iadmm.proxlib import (
-    SmoothTerm,
-    box_prox,
     group_l2_prox,
     group_shrink,
     l1_prox,
     pair_groups,
-    project_box,
     quadratic,
     quadratic_smooth,
     soft_threshold,
@@ -42,12 +38,6 @@ def test_pair_groups_layout():
     assert g.ravel().tolist() == [0, 1, 2, 3, 4, 5]
 
 
-def test_project_box_grid():
-    y = np.array([-2.0, 0.3, 9.0])
-    out = project_box(y, -1.0, 1.0)
-    assert out == pytest.approx([-1.0, 0.3, 1.0])
-
-
 def _prox_cases():
     rng = np.random.default_rng(0x9E0)
     groups = pair_groups(3)
@@ -56,9 +46,6 @@ def _prox_cases():
         (l1_prox(0.7), lambda w: 0.7 * np.abs(w).sum(), 6),
         (group_l2_prox(0.4, groups),
          lambda w: 0.4 * sum(np.linalg.norm(w[g]) for g in groups), 6),
-        (box_prox(-0.5, 1.5),
-         lambda w: 0.0 if np.all((w >= -0.5 - 1e-9) & (w <= 1.5 + 1e-9))
-         else np.inf, 6),
     ]
 
 
@@ -104,19 +91,6 @@ def test_prox_values_match_term_value():
     assert zero_prox().is_zero
 
 
-def test_box_prox_value_and_membership():
-    term = box_prox(0.0, 1.0)
-    assert term.value(np.array([0.5, 1.0])) == 0.0
-    assert term.value(np.array([1.5, 0.0])) == np.inf
-    out = term.prox(np.array([2.0, -3.0]), 1.0)
-    assert out == pytest.approx([1.0, 0.0])
-
-
-def test_box_prox_rejects_empty_box():
-    with pytest.raises(ConfigError):
-        box_prox(1.0, 0.0)
-
-
 def _fd_grad(f, x, h=1e-6):
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -151,7 +125,7 @@ def test_quadratic_smooth_least_squares():
     rng = np.random.default_rng(0x15)
     F = rng.standard_normal((7, 4))
     f = rng.standard_normal(7)
-    term = quadratic_smooth(F, f)
+    term = quadratic_smooth(DenseMap(F), f)
     x = rng.standard_normal(4)
     r = F @ x - f
     assert term.value(x) == pytest.approx(0.5 * float(r @ r))
@@ -165,7 +139,7 @@ def test_quadratic_smooth_supplied_constants_skip_dense_work():
     rng = np.random.default_rng(0x16)
     F = rng.standard_normal((6, 3))
     f = rng.standard_normal(6)
-    term = quadratic_smooth(F, f, lipschitz=10.0, modulus=0.5)
+    term = quadratic_smooth(DenseMap(F), f, lipschitz=10.0, modulus=0.5)
     assert term.lipschitz == 10.0 and term.modulus == 0.5
     assert term.hessian is None
 
@@ -179,15 +153,13 @@ def test_zero_smooth_is_flagged():
 
 
 def test_value_grad_is_bitwise_value_and_grad():
-    # the fused evaluation must reproduce the separate calls exactly, and
-    # a term built without one gets them composed
+    # the fused evaluation must reproduce the separate calls exactly
     rng = np.random.default_rng(0xF5)
     G = rng.standard_normal((7, 5))
     terms = [
         quadratic(G.T @ G, rng.standard_normal(5)),
         quadratic_smooth(DenseMap(G), rng.standard_normal(7)),
         zero_smooth(),
-        SmoothTerm(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x),
     ]
     for term in terms:
         for _ in range(5):
