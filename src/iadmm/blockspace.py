@@ -281,8 +281,11 @@ class Grad2D(LinearMap):
 class HaarMap(LinearMap):
     """Orthonormal multi-level 2-d Haar analysis transform.
 
-    ``apply`` maps a flattened square image to its wavelet coefficients,
-    ``adjoint`` is the synthesis transform.  The transform is orthogonal,
+    ``apply`` maps a flattened square image to its wavelet coefficients:
+    level by level toward the coarse end, the low-pass corner ``C`` of
+    side ``k`` becomes ``W C W^T`` for that level's orthonormal ``k x k``
+    factor ``W``.  ``adjoint``, the synthesis transform, undoes the levels
+    in reverse order with ``W^T C W``.  The transform is orthogonal,
     so ``apply(adjoint(w)) == w`` and ``adjoint(apply(u)) == u`` up to
     rounding.  The image side must be a power of two with at least
     ``2**levels`` pixels per side.
@@ -298,44 +301,26 @@ class HaarMap(LinearMap):
         if levels < 1 or side >> levels < 1:
             raise ConfigError("cannot run %d levels on side %d" % (levels, side))
         self.side = side
-        self.levels = levels
         self.rows = self.cols = side * side
+        # the factors, finest first: pair sums over sqrt(2) on top, pair
+        # differences over sqrt(2) below
+        self.factors = []
+        for k in (side >> lev for lev in range(levels)):
+            lift = np.kron(np.eye(k // 2), [[1.0, 1.0], [1.0, -1.0]])
+            self.factors.append(np.vstack([lift[0::2], lift[1::2]]) / np.sqrt(2.0))
 
     def apply(self, x):
-        s = self.side
-        X = self._check_in(x).reshape(s, s).copy()
-        r = np.sqrt(2.0)
-        size = s
-        for _ in range(self.levels):
-            h = size // 2
-            sub = X[:size, :size]
-            lo = (sub[:, 0::2] + sub[:, 1::2]) / r
-            hi = (sub[:, 0::2] - sub[:, 1::2]) / r
-            sub[:, :h] = lo
-            sub[:, h:size] = hi
-            lo = (sub[0::2, :] + sub[1::2, :]) / r
-            hi = (sub[0::2, :] - sub[1::2, :]) / r
-            sub[:h, :] = lo
-            sub[h:size, :] = hi
-            size = h
+        X = self._check_in(x).reshape(self.side, self.side).copy()
+        for W in self.factors:
+            k = W.shape[0]
+            X[:k, :k] = W @ X[:k, :k] @ W.T
         return X.reshape(-1)
 
     def adjoint(self, w):
-        s = self.side
-        X = self._check_out(w).reshape(s, s).copy()
-        r = np.sqrt(2.0)
-        for lev in range(self.levels - 1, -1, -1):
-            size = s >> lev
-            h = size // 2
-            sub = X[:size, :size]
-            lo = sub[:h, :].copy()
-            hi = sub[h:size, :].copy()
-            sub[0::2, :] = (lo + hi) / r
-            sub[1::2, :] = (lo - hi) / r
-            lo = sub[:, :h].copy()
-            hi = sub[:, h:size].copy()
-            sub[:, 0::2] = (lo + hi) / r
-            sub[:, 1::2] = (lo - hi) / r
+        X = self._check_out(w).reshape(self.side, self.side).copy()
+        for W in reversed(self.factors):
+            k = W.shape[0]
+            X[:k, :k] = W.T @ X[:k, :k] @ W
         return X.reshape(-1)
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class IadmmError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,3 +39,9 @@ class NumericError(IadmmError):
         super().__init__(message)
         self.context = dict(context) if context else {}
         self.best = best
+
+
+def check_count(name, value):
+    """Raise :class:`ConfigError` unless ``value`` is an integer, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError("%s must be an integer of at least 1" % name)

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count
 from .problem import Block
 
 # relative slack for the descent test so exact ties are accepted in floats
@@ -90,8 +90,7 @@ class InnerConfig:
             raise ConfigError("unknown inner rule %r" % (self.rule,))
         if not 0.0 < self.sigma < 1.0:
             raise ConfigError("sigma must lie strictly between 0 and 1")
-        if not self.max_iters >= 1:
-            raise ConfigError("max_iters must be at least 1")
+        check_count("max_iters", self.max_iters)
 
 
 @dataclass

@@ -31,7 +31,7 @@ import numpy as np
 
 from .blockspace import BlockTriangular, BlockVector
 from .diagnostics import energy, kkt_error, lagrangian_gap
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count
 from .inner import InnerConfig, InnerResult, run_inner
 from .oracle import subproblem_minimizer
 from .problem import ProblemSpec
@@ -88,9 +88,7 @@ class SolverParams:
             raise ConfigError("tol must be nonnegative")
         if self.gamma_mode not in ("power", "safeguard"):
             raise ConfigError("unknown gamma_mode %r" % (self.gamma_mode,))
-        if (isinstance(self.max_outer, bool) or not isinstance(self.max_outer, (int, np.integer))
-                or self.max_outer < 1):
-            raise ConfigError("max_outer must be an integer of at least 1")
+        check_count("max_outer", self.max_outer)
         if self.x0 is not None:
             if not isinstance(self.x0, BlockVector):
                 raise ConfigError("x0 must be a BlockVector")

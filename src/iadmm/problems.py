@@ -36,8 +36,8 @@ from .diagnostics import ReferencePair
 from .errors import CertificationError, ConfigError
 from .oracle import solve_qp_kkt
 from .problem import Block, ProblemSpec
-from .proxlib import (group_l2_prox, l1_prox, pair_groups, quadratic,
-                      quadratic_smooth, zero_prox, zero_smooth)
+from .proxlib import (group_l2_prox, l1_prox, quadratic, quadratic_smooth,
+                      zero_prox, zero_smooth)
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +69,9 @@ class SeparableBlur(LinearMap):
     """Self-adjoint 2-d blur: the same 1-d symmetric kernel along each axis.
 
     Zero padding outside the image (the kernel is truncated at the
-    boundary, not renormalized), so the operator equals ``T (.) T`` for a
-    banded symmetric Toeplitz ``T``.
+    boundary, not renormalized), so the operator maps an image ``X`` to
+    ``T X T`` for the banded symmetric Toeplitz factor ``T``, built once
+    and kept as the attribute ``T``.
     """
 
     kind = "separable-blur"
@@ -83,49 +84,20 @@ class SeparableBlur(LinearMap):
             raise ConfigError("blur kernel must be symmetric")
         self.side = int(side)
         self.kernel = kernel
-        self.radius = kernel.size // 2
         self.rows = self.cols = self.side * self.side
-
-    def _conv(self, X, axis):
-        s = self.side
-        out = np.zeros_like(X)
-        g = self.kernel
-        r = self.radius
-        for o in range(-r, r + 1):
-            w = g[o + r]
-            if o >= 0:
-                src = slice(o, s)
-                dst = slice(0, s - o)
-            else:
-                src = slice(0, s + o)
-                dst = slice(-o, s)
-            if axis == 0:
-                out[dst, :] += w * X[src, :]
-            else:
-                out[:, dst] += w * X[:, src]
-        return out
+        # one product per entry: T[i, i + o] = kernel[o + r] inside the band
+        r = kernel.size // 2
+        self.T = sum(kernel[o + r] * np.eye(self.side, k=o) for o in range(-r, r + 1))
 
     def apply(self, x):
         X = self._check_in(x).reshape(self.side, self.side)
-        return self._conv(self._conv(X, 0), 1).reshape(-1)
+        return (self.T @ X @ self.T).reshape(-1)
 
     # symmetric kernel with zero padding makes the operator self-adjoint
     adjoint = apply
 
-    def toeplitz(self):
-        s = self.side
-        T = np.zeros((s, s))
-        r = self.radius
-        for i in range(s):
-            for o in range(-r, r + 1):
-                j = i + o
-                if 0 <= j < s:
-                    T[i, j] = self.kernel[o + r]
-        return T
-
     def to_dense(self):
-        T = self.toeplitz()
-        return np.kron(T, T)
+        return np.kron(self.T, self.T)
 
 
 def _rng(seed, attempt=0):
@@ -323,7 +295,7 @@ def gen_imaging(seed, side=32, tv_weight=1e-2, l1_weight=1e-3,
     f_data = F.apply(u_true.reshape(-1)) + 1e-3 * rng.standard_normal(n)
 
     # exact curvature bounds from the 1-d Toeplitz spectrum
-    ev = np.linalg.eigvalsh(F.toeplitz())
+    ev = np.linalg.eigvalsh(F.T)
     lip = float(np.max(np.abs(ev)) ** 4)
     mod = float(np.min(np.abs(ev)) ** 4)
     smooth1 = quadratic_smooth(F, f_data, lipschitz=lip, modulus=mod)
@@ -335,7 +307,7 @@ def gen_imaging(seed, side=32, tv_weight=1e-2, l1_weight=1e-3,
     A3 = VStack([ZeroMap(2 * n, n), ScaledIdentity(n, -1.0)])
     blocks = [
         Block(smooth1, zero_prox(), A1),
-        Block(zero_smooth(), group_l2_prox(tv_weight, pair_groups(n)), A2),
+        Block(zero_smooth(), group_l2_prox(tv_weight, 2), A2),
         Block(zero_smooth(), l1_prox(l1_weight), A3),
     ]
     problem = ProblemSpec(blocks, np.zeros(3 * n))

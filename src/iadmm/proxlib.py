@@ -70,33 +70,24 @@ def soft_threshold(y, t):
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
-def group_shrink(y, t, groups):
-    """Blockwise shrinkage: scale each index group toward zero by ``t``.
+def group_shrink(y, t, size):
+    """Blockwise shrinkage toward zero by ``t`` of consecutive ``size``-entry groups of ``y``.
 
-    ``groups`` is an integer array of shape ``(n_groups, k)`` whose rows
-    partition ``range(len(y))``.  Each group ``g`` is mapped to
-    ``max(1 - t / ||y_g||, 0) * y_g`` (zero groups stay zero), the prox
-    of ``t`` times the sum of group Euclidean norms.
+    Each group ``g`` is mapped to ``max(1 - t / ||y_g||, 0) * y_g`` (zero
+    groups stay zero), the prox of ``t`` times the sum of group Euclidean
+    norms.
     """
     if t < 0:
         raise ConfigError("threshold must be nonnegative")
     y = np.asarray(y, dtype=np.float64)
-    groups = np.asarray(groups, dtype=np.intp)
-    if groups.ndim != 2 or groups.size != y.size:
-        raise StructuralError("groups must partition the vector")
-    g = y[groups]
+    if size < 1 or y.size % size:
+        raise StructuralError("size-%d vector does not split into groups of %d" % (y.size, size))
+    g = y.reshape(-1, size)
     norms = np.sqrt(np.sum(g * g, axis=1))
     scale = np.zeros_like(norms)
     nz = norms > 0.0
     scale[nz] = np.maximum(1.0 - t / norms[nz], 0.0)
-    out = np.empty_like(y)
-    out[groups] = g * scale[:, None]
-    return out
-
-
-def pair_groups(n_pairs):
-    """Index groups ``[(0, 1), (2, 3), ...]`` for interleaved pair norms."""
-    return np.arange(2 * int(n_pairs), dtype=np.intp).reshape(-1, 2)
+    return (g * scale[:, None]).reshape(-1)
 
 
 def zero_smooth():
@@ -196,18 +187,17 @@ def l1_prox(weight):
     )
 
 
-def group_l2_prox(weight, groups):
-    """``weight * sum of group norms`` with group shrinkage prox."""
+def group_l2_prox(weight, size):
+    """``weight`` times the summed norms of consecutive ``size``-entry groups; prox by shrinkage."""
     weight = float(weight)
     if weight < 0:
         raise ConfigError("group weight must be nonnegative")
-    groups = np.asarray(groups, dtype=np.intp)
 
     def value(y):
-        g = np.asarray(y, dtype=np.float64)[groups]
+        g = np.asarray(y, dtype=np.float64).reshape(-1, size)
         return weight * float(np.sum(np.sqrt(np.sum(g * g, axis=1))))
 
     return ProxTerm(
         value=value,
-        prox=lambda y, tau: group_shrink(y, weight * tau, groups),
+        prox=lambda y, tau: group_shrink(y, weight * tau, size),
     )

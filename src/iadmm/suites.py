@@ -124,8 +124,8 @@ def _random_subproblem(rng, dim=6):
 def inner_rows(seed=0):
     """Step-size coupling and the per-block convergence estimate.
 
-    For each of 6 random strongly convex subproblems per rule the inner
-    loop is forced to run L = 1..40 iterations; the accumulated estimate
+    For each of 6 random strongly convex subproblems per rule one forced,
+    traced 40-iteration run gives every prefix L = 1..40; the estimate
     ``(rho*gamma_i + L*mu_h/2)*||a - xbar||^2 + (sigma/gamma)*sum xi*||du||^2``
     must stay below ``||x - xbar||^2 / gamma`` (plus slack) for every L,
     with xbar supplied by an independent minimizer.
@@ -147,20 +147,18 @@ def inner_rows(seed=0):
             xbar = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
             mu_h = blk.nonsmooth.modulus
             start_sq = float((x_i - xbar) @ (x_i - xbar))
-            worst_gap = -np.inf
+            _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i,
+                              cfg, Gamma_prev=0.0, psi_eps=np.inf,
+                              force_iters=max_len, trace=True)
+            worst_xi = max(worst_xi, float(np.max(np.abs(np.asarray(tr.xis) - 1.0))))
+            worst_gap, acc = -np.inf, 0.0
             for L in range(1, max_len + 1):
-                res, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i,
-                                    cfg, Gamma_prev=0.0, psi_eps=np.inf,
-                                    force_iters=L, trace=True)
-                worst_xi = max(worst_xi, float(np.max(np.abs(
-                    np.asarray(tr.xis) - 1.0))))
-                xis = np.asarray(tr.xis)
-                du = [tr.us[j + 1] - tr.us[j] for j in range(L)]
-                acc = sum(x * float(d @ d) for x, d in zip(xis, du))
-                a_gap_sq = float((res.z - xbar) @ (res.z - xbar))
-                lhs = ((rho * gamma_i + 0.5 * mu_h * L) * a_gap_sq
-                       + cfg.sigma / res.Gamma * acc)
-                rhs = start_sq / res.Gamma
+                du = tr.us[L] - tr.us[L - 1]
+                acc += tr.xis[L - 1] * float(du @ du)
+                a_gap = tr.a_s[L - 1] - xbar
+                lhs = ((rho * gamma_i + 0.5 * mu_h * L) * float(a_gap @ a_gap)
+                       + cfg.sigma / tr.gammas[L - 1] * acc)
+                rhs = start_sq / tr.gammas[L - 1]
                 worst_gap = max(worst_gap, lhs - rhs)
             rows.append(_row("inner-estimate-%s-%d" % (rule, s), max_len,
                              worst_gap, 0.0, LEMMA_SLACK))

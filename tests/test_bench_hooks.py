@@ -49,3 +49,23 @@ def test_tracer_patches_resolve_and_come_off():
     assert tracer.notes["iters"] > 0
     for owner, attr, orig, _ in tracer._patches:
         assert _current(owner, attr) is orig, (owner, attr)
+
+
+def test_tracer_labels_imaging_maps_and_proxes():
+    # spans are labelled by operator ``kind`` and by the name of the
+    # function that built each prox closure
+    entry = from_id("img-0-s16")
+    tracer = _load_spans().Tracer()
+    tracer.patch_modules(iadmm)
+    tracer.patch_instances([entry.problem])
+    tracer.install()
+    try:
+        solve(entry.problem, SolverParams(tol=0.0, max_outer=3))
+    finally:
+        tracer.uninstall()
+
+    seen = {tracer.labels[i] for i in tracer.name}
+    for label in ("blockspace.apply.separable-blur", "blockspace.apply.orthonormal-wavelet",
+                  "blockspace.adjoint.orthonormal-wavelet", "proxlib.prox.group",
+                  "proxlib.prox.l1"):
+        assert label in seen, label

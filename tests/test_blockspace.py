@@ -94,6 +94,19 @@ def test_haar_orthonormal():
     assert np.linalg.norm(op.apply(x)) == pytest.approx(np.linalg.norm(x))
 
 
+def test_haar_coefficient_layout():
+    # the coarse average sits top left; each level's detail bands fill the
+    # right half, bottom half and bottom-right quarter of its corner
+    assert np.allclose(HaarMap(2, 1).apply(np.array([1.0, 2.0, 3.0, 4.0])),
+                       [5.0, -1.0, -2.0, 0.0], rtol=0.0, atol=1e-12)
+    expected = [[30.0, -4.0, -1.0, -1.0],
+                [-16.0, 0.0, -1.0, -1.0],
+                [-4.0, -4.0, 0.0, 0.0],
+                [-4.0, -4.0, 0.0, 0.0]]
+    assert np.allclose(HaarMap(4, 2).apply(np.arange(16.0)).reshape(4, 4), expected,
+                       rtol=0.0, atol=1e-12)
+
+
 def test_haar_constant_image_collapses():
     side, levels = 16, 4
     op = HaarMap(side, levels=levels)

@@ -334,6 +334,13 @@ def test_inner_config_rejects_bad_counts(field):
         InnerConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+def test_inner_config_rejects_non_integer_max_iters(value):
+    # a float cap used to fail later inside run_inner, a bool one capped at 1
+    with pytest.raises(ConfigError, match="max_iters"):
+        InnerConfig(max_iters=value)
+
+
 def test_inner_config_validation():
     with pytest.raises(ConfigError):
         InnerConfig(rule="newton")

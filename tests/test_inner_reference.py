@@ -12,14 +12,14 @@ from iadmm.inner import InnerConfig, run_inner
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block
 from iadmm.problems import from_id
-from iadmm.proxlib import (group_l2_prox, l1_prox, pair_groups, quadratic,
-                           quadratic_smooth, zero_prox, zero_smooth)
+from iadmm.proxlib import (group_l2_prox, l1_prox, quadratic, quadratic_smooth,
+                           zero_prox, zero_smooth)
 from reference_inner import run_inner_reference
 
 DIM = 6
 PROXES = {
     "l1": lambda: l1_prox(0.2),
-    "group": lambda: group_l2_prox(0.2, pair_groups(DIM // 2)),
+    "group": lambda: group_l2_prox(0.2, 2),
     "zero": zero_prox,
 }
 

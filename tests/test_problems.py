@@ -166,14 +166,23 @@ def test_imaging_side_validation():
 
 def test_separable_blur_matches_kron_toeplitz():
     kern = gaussian_kernel(0.8, 2)
-    blur = SeparableBlur(8, kern)
+    side, r = 8, 2
+    blur = SeparableBlur(side, kern)
     rng = np.random.default_rng(0xB1)
+    T = blur.T
+    for i in range(side):
+        for j in range(side):
+            assert T[i, j] == (kern[j - i + r] if abs(j - i) <= r else 0.0)
     D = blur.to_dense()
-    T = blur.toeplitz()
     assert np.allclose(D, np.kron(T, T), atol=1e-14)
     for _ in range(10):
-        u = rng.standard_normal(64)
+        u = rng.standard_normal(side * side)
         assert np.allclose(blur.apply(u), D @ u, atol=1e-12)
+        # zero-padded 1-d convolution along each axis, independent of T
+        U = u.reshape(side, side)
+        rows = np.array([np.convolve(row, kern, mode="same") for row in U])
+        both = np.array([np.convolve(col, kern, mode="same") for col in rows.T]).T
+        assert np.allclose(blur.apply(u), both.reshape(-1), atol=1e-12)
     # self-adjoint by symmetry of the kernel
     v = rng.standard_normal(64)
     u = rng.standard_normal(64)

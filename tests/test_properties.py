@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, ScaledIdentity, VStack,
-                              ZeroMap)
-from iadmm.proxlib import group_l2_prox, l1_prox, pair_groups, zero_prox
+from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D, HaarMap,
+                              ScaledIdentity, VStack, ZeroMap)
+from iadmm.problems import SeparableBlur
+from iadmm.proxlib import group_l2_prox, l1_prox, zero_prox
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -28,20 +29,18 @@ def _matrix(rows, cols):
                       elements=st.floats(-2.0, 2.0, allow_subnormal=False))
 
 
-def _prox_and_dual_projection(kind, weight, n_pairs):
+def _prox_and_dual_projection(kind, weight):
     """A prox term and the projection onto the ``tau * weight`` ball of its dual norm."""
     if kind == "l1":
         return l1_prox(weight), lambda y, tau: np.clip(y, -tau * weight, tau * weight)
     if kind == "group":
-        groups = pair_groups(n_pairs)
-
         def project(y, tau):
             g = y.reshape(-1, 2)
             norms = np.sqrt(np.sum(g * g, axis=1))
             scale = np.minimum(1.0, tau * weight / np.maximum(norms, 1e-300))
             return (g * scale[:, None]).reshape(-1)
 
-        return group_l2_prox(weight, groups), project
+        return group_l2_prox(weight, 2), project
     # the zero function is the support function of {0}
     return zero_prox(), lambda y, tau: np.zeros_like(y)
 
@@ -55,7 +54,7 @@ def test_prox_is_firmly_nonexpansive_property(kind, weight, tau, data):
     n_pairs = data.draw(st.integers(1, 4))
     y1 = data.draw(_vector(2 * n_pairs))
     y2 = data.draw(_vector(2 * n_pairs))
-    term, _ = _prox_and_dual_projection(kind, weight, n_pairs)
+    term, _ = _prox_and_dual_projection(kind, weight)
     p1, p2 = term.prox(y1, tau), term.prox(y2, tau)
     dp = p1 - p2
     dy = y1 - y2
@@ -69,7 +68,7 @@ def test_moreau_decomposition_property(kind, weight, tau, data):
     # ball of the dual norm (l_inf for l1, per-group l2 for the group norm)
     n_pairs = data.draw(st.integers(1, 4))
     y = data.draw(_vector(2 * n_pairs))
-    term, project = _prox_and_dual_projection(kind, weight, n_pairs)
+    term, project = _prox_and_dual_projection(kind, weight)
     residual = y - term.prox(y, tau)
     assert np.allclose(residual, project(y, tau), rtol=0.0, atol=1e-12 * (1.0 + np.abs(y).max()))
 
@@ -100,6 +99,51 @@ def test_vstack_adjoint_identity_property(op, data):
     scale = 1.0 + float(np.linalg.norm(v) * np.linalg.norm(op.to_dense()) * np.linalg.norm(u))
     assert abs(lhs - rhs) <= 1e-12 * scale
     assert np.allclose(op.apply(u), op.to_dense() @ u, rtol=0.0, atol=1e-12 * scale)
+
+
+@st.composite
+def _haar_maps(draw):
+    power = draw(st.integers(1, 6))
+    return HaarMap(2 ** power, levels=draw(st.integers(1, power)))
+
+
+@st.composite
+def _blurs(draw):
+    # odd symmetric kernel: the drawn half ends at the centre tap
+    half = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)))
+    return SeparableBlur(draw(st.integers(1, 12)), np.concatenate([half, half[-2::-1]]))
+
+
+IMAGING_MAPS = st.one_of(_haar_maps(), _blurs(), st.integers(2, 12).map(Grad2D))
+
+
+def _dense_pair(op, seed):
+    # image-sized vectors drawn whole from a seeded generator, so every
+    # entry is random rather than mostly one fill value
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-10.0, 10.0, op.cols), rng.uniform(-10.0, 10.0, op.rows)
+
+
+@SETTINGS
+@given(op=IMAGING_MAPS, seed=st.integers(0, 2 ** 32 - 1))
+def test_imaging_map_adjoint_identity_property(op, seed):
+    u, v = _dense_pair(op, seed)
+    lhs = float(v @ op.apply(u))
+    rhs = float(op.adjoint(v) @ u)
+    # spectral-norm bounds: (sum |kernel|)^2 for the blur, 2 sqrt(2) < 3
+    # for the gradient, 1 for the Haar transform
+    bound = (float(np.sum(np.abs(op.kernel))) ** 2 if isinstance(op, SeparableBlur)
+             else 3.0)
+    assert abs(lhs - rhs) <= 1e-12 * (1.0 + bound * np.linalg.norm(u) * np.linalg.norm(v))
+
+
+@SETTINGS
+@given(power=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_haar_synthesis_inverts_analysis_property(power, seed):
+    for levels in range(1, power + 1):
+        op = HaarMap(2 ** power, levels=levels)
+        x, _ = _dense_pair(op, seed)
+        assert np.max(np.abs(op.adjoint(op.apply(x)) - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
 
 
 @SETTINGS

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from iadmm.blockspace import DenseMap
+from iadmm.errors import StructuralError
 from iadmm.proxlib import (
     group_l2_prox,
     group_shrink,
     l1_prox,
-    pair_groups,
     quadratic,
     quadratic_smooth,
     soft_threshold,
@@ -25,26 +25,27 @@ def test_soft_threshold_grid():
 
 
 def test_group_shrink_grid():
-    groups = pair_groups(2)
     # first pair has norm 5 and shrinks to zero at t=5; second scales by 1/2
     y = np.array([3.0, 4.0, 6.0, 8.0])
-    out = group_shrink(y, 5.0, groups)
+    out = group_shrink(y, 5.0, 2)
     assert out == pytest.approx([0.0, 0.0, 3.0, 4.0])
+    with pytest.raises(StructuralError, match="groups of 2"):
+        group_shrink(np.ones(5), 1.0, 2)
 
 
 def test_pair_groups_layout():
-    g = pair_groups(3)
-    assert g.shape == (3, 2)
-    assert g.ravel().tolist() == [0, 1, 2, 3, 4, 5]
+    # groups are consecutive pairs (0, 1), (2, 3), (4, 5): each pair
+    # shrinks by its own norm, never mixed with a neighbour
+    y = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 2.0])
+    assert group_shrink(y, 1.0, 2) == pytest.approx([2.4, 3.2, 0.0, 0.0, 0.0, 1.0])
 
 
 def _prox_cases():
-    rng = np.random.default_rng(0x9E0)
-    groups = pair_groups(3)
+    groups = np.arange(6).reshape(3, 2)
     return [
         (zero_prox(), lambda w: 0.0, 6),
         (l1_prox(0.7), lambda w: 0.7 * np.abs(w).sum(), 6),
-        (group_l2_prox(0.4, groups),
+        (group_l2_prox(0.4, 2),
          lambda w: 0.4 * sum(np.linalg.norm(w[g]) for g in groups), 6),
     ]
 
@@ -82,8 +83,7 @@ def test_prox_satisfies_subgradient_characterization(term, value, dim):
 
 
 def test_prox_values_match_term_value():
-    groups = pair_groups(2)
-    term = group_l2_prox(0.4, groups)
+    term = group_l2_prox(0.4, 2)
     w = np.array([3.0, 4.0, 0.0, 0.0])
     assert term.value(w) == pytest.approx(0.4 * 5.0)
     l1 = l1_prox(2.0)
