@@ -174,10 +174,10 @@ class DenseMap(LinearMap):
         self.rows, self.cols = mat.shape
 
     def apply(self, x):
-        return self.mat @ self._check_in(x)
+        return self.mat.dot(self._check_in(x))
 
     def adjoint(self, w):
-        return self.mat.T @ self._check_out(w)
+        return self.mat.T.dot(self._check_out(w))
 
     def to_dense(self):
         return self.mat.copy()

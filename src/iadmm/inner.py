@@ -43,6 +43,13 @@ runs the descent test, which costs one more ``f_i`` value at ``a``; its
 backtracking driver :func:`params_adaptive` retries the trial with a
 larger ``delta / alpha`` until the test passes.
 
+Each trial also takes the squared step ``||u - u_prev||^2`` once, for
+the accumulated ``r`` and the trace, and the finiteness check runs on
+that scalar: a nan or infinite entry of ``u`` always makes it
+non-finite, so the test of every entry of ``u`` runs only on that cold
+path and a bad prox step still fails at the trial that made it.  A
+finite step whose square overflows to ``inf`` is not an error.
+
 The loop stops once ``gamma_l`` has caught up with the previous sweep's
 accuracy weight and the scaled step ``||a_l - x_i|| / sqrt(gamma_l)``
 falls below the forcing threshold derived from the previous outer
@@ -146,7 +153,7 @@ def line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, grad_bar):
     """
     f_a = smooth.value(a)
     d = a - a_bar
-    lhs = f_bar + float(grad_bar @ d) + (1.0 - sigma) * delta / (2.0 * alpha) * float(d @ d)
+    lhs = f_bar + float(d.dot(grad_bar)) + (1.0 - sigma) * delta / (2.0 * alpha) * float(d.dot(d))
     return lhs >= f_a - _LS_SLACK * (1.0 + abs(f_a))
 
 
@@ -243,18 +250,22 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         f_bar, g = value_grad(a_bar)
         scale = delta + rg
         u = prox((delta * u_prev + ry - g - rw) / scale, 1.0 / scale)
-        if not np.isfinite(u).all():
+        d = u - u_prev
+        dsq = float(d.dot(d))
+        # a non-finite entry of ``u`` makes ``dsq`` non-finite, so the
+        # array test only runs on that cold path
+        if not math.isfinite(dsq) and not np.isfinite(u).all():
             raise NumericError("prox step produced non-finite values",
                                context={"routine": "run_inner"})
         a = (1.0 - alpha) * a_prev + alpha * u
         ok = not adaptive or line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, g)
-        return ok, (u, a)
+        return ok, (u, a, dsq)
 
     stop = force_iters is None
     try:
         for l in range(1, (cfg.max_iters if stop else force_iters) + 1):
             if adaptive:
-                delta, alpha, backtracks, (u, a) = params_adaptive(
+                delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
                     Lambda, delta0, cfg.eta, trial, cfg.max_backtracks)
                 delta0 = min(max((delta / alpha) / cfg.eta, cfg.delta_min), cfg.delta_max)
             else:
@@ -265,11 +276,9 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
                     alpha = 1.0 if l == 1 else 1.0 / (1.0 + delta * Lambda)
                 else:
                     delta, alpha = params_constant(l, zeta, sigma)
-                u, a = trial(delta, alpha)[1]
+                u, a, dsq = trial(delta, alpha)[1]
 
             gamma = 1.0 / delta if l == 1 else gamma / (1.0 - alpha)
-            d = u - u_prev
-            dsq = float(d @ d)
             sum_sq += dsq
             Lambda += 1.0 / delta
 
@@ -285,7 +294,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
 
             if stop and gamma >= floor:
                 d = a - x_i
-                if math.sqrt(float(d @ d)) <= psi_eps * math.sqrt(gamma):
+                if math.sqrt(float(d.dot(d))) <= psi_eps * math.sqrt(gamma):
                     break
             u_prev, a_prev = u, a
         else:

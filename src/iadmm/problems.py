@@ -33,7 +33,7 @@ from .blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D,
                          HaarMap, LinearMap, ScaledIdentity, VStack, ZeroMap,
                          load_vector, save_vector)
 from .diagnostics import ReferencePair
-from .errors import CertificationError, ConfigError
+from .errors import CertificationError, ConfigError, check_count
 from .oracle import solve_qp_kkt
 from .problem import Block, ProblemSpec
 from .proxlib import (group_l2_prox, l1_prox, quadratic, quadratic_smooth,
@@ -82,6 +82,7 @@ class SeparableBlur(LinearMap):
             raise ConfigError("blur kernel must have odd length")
         if not np.allclose(kernel, kernel[::-1]):
             raise ConfigError("blur kernel must be symmetric")
+        check_count("side", side)
         self.side = int(side)
         self.kernel = kernel
         self.rows = self.cols = self.side * self.side

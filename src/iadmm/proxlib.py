@@ -115,14 +115,14 @@ def quadratic(H, c, modulus=0.0):
     lip = float(np.max(np.abs(np.linalg.eigvalsh(H)))) if H.size else 0.0
 
     def value(x):
-        return float(0.5 * (x @ (H @ x)) + c @ x)
+        return float(0.5 * H.dot(x).dot(x) + c.dot(x))
 
     def grad(x):
-        return H @ x + c
+        return H.dot(x) + c
 
     def value_grad(x):
-        Hx = H @ x
-        return float(0.5 * (x @ Hx) + c @ x), Hx + c
+        Hx = H.dot(x)
+        return float(0.5 * Hx.dot(x) + c.dot(x)), Hx + c
 
     return SmoothTerm(value=value, grad=grad, lipschitz=lip,
                       modulus=float(modulus), hessian=H, linear=c.copy(),
@@ -152,14 +152,14 @@ def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
 
     def value(u):
         r = F.apply(u) - f
-        return float(0.5 * (r @ r))
+        return float(0.5 * r.dot(r))
 
     def grad(u):
         return F.adjoint(F.apply(u) - f)
 
     def value_grad(u):
         r = F.apply(u) - f
-        return float(0.5 * (r @ r)), F.adjoint(r)
+        return float(0.5 * r.dot(r)), F.adjoint(r)
 
     return SmoothTerm(value=value, grad=grad, lipschitz=float(lipschitz),
                       modulus=float(modulus), hessian=FtF,
@@ -168,10 +168,10 @@ def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
 
 
 def zero_prox():
-    """The identically-zero nonsmooth term (prox is the identity)."""
+    """The identically-zero nonsmooth term (prox is the identity, returning its input uncopied)."""
     return ProxTerm(
         value=lambda y: 0.0,
-        prox=lambda y, tau: np.array(y, dtype=np.float64),
+        prox=lambda y, tau: np.asarray(y, dtype=np.float64),
         is_zero=True,
     )
 

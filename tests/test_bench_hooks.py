@@ -44,9 +44,17 @@ def test_tracer_patches_resolve_and_come_off():
         tracer.uninstall()
 
     assert report.iterations == sweeps
-    inner_spans = sum(tracer.labels[i].startswith("inner.run_inner.") for i in tracer.name)
-    assert inner_spans == sweeps * entry.problem.m
-    assert tracer.notes["iters"] > 0
+    labels = [tracer.labels[i] for i in tracer.name]
+    assert sum(lab.startswith("inner.run_inner.") for lab in labels) == sweeps * entry.problem.m
+    # each trial of the adaptive rule calls the prox once and the smooth
+    # value once (descent test), inside the traced ``params_adaptive``; an
+    # un-referenced solve makes no other prox call
+    notes = tracer.notes
+    trials = notes["iters"] + notes["backtracks"]
+    assert notes["iters"] > 0 and notes["backtracks"] > 0
+    assert sum(lab.startswith("proxlib.prox.") for lab in labels) == trials
+    assert sum(lab == "proxlib.smooth.value" and p >= 0 and labels[p] == "inner.params_adaptive"
+               for lab, p in zip(labels, tracer.parent)) == trials
     for owner, attr, orig, _ in tracer._patches:
         assert _current(owner, attr) is orig, (owner, attr)
 

@@ -18,6 +18,8 @@ from iadmm.oracle import subproblem_minimizer
 from iadmm.problem import Block
 from iadmm.proxlib import (ProxTerm, l1_prox, quadratic, soft_threshold, zero_prox,
                            zero_smooth)
+from reference_inner import run_inner_reference
+from test_inner_reference import _assert_same
 
 
 def _block(seed, dim=6, mu=0.5, weight=0.1):
@@ -326,6 +328,70 @@ def test_non_finite_prox_step_raises_with_context(rule, zero_f):
     ctx = info.value.context
     assert (ctx["outer_iteration"], ctx["block"]) == (7, 2)
     assert 1 <= ctx["inner_iteration"] <= 3
+
+
+def _prox_spoiling_call(n, index, value):
+    """Identity prox that writes ``value`` into entry ``index`` on its ``n``-th call."""
+    calls = []
+
+    def prox(v, tau):
+        calls.append(1)
+        if len(calls) == n:
+            v = v.copy()
+            v[index] = value
+        return v
+
+    return ProxTerm(value=lambda y: 0.0, prox=prox), calls
+
+
+def _inner_case(case, seed):
+    # ``pinned`` is the zero-smooth block, which pins delta whatever the rule
+    blk = _block(seed)
+    if case == "pinned":
+        blk = Block(zero_smooth(), blk.nonsmooth, blk.op)
+    return blk, InnerConfig(rule="adaptive" if case == "pinned" else case)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("case", ["adaptive", "constant", "pinned"])
+def test_one_non_finite_prox_entry_raises_at_its_trial(case, bad):
+    # the scalar test on the step's squared norm catches a single bad
+    # entry and hands it to the array test, at the trial that made it
+    spoiled_call = 4
+    blk, cfg = _inner_case(case, 41)
+    x_i, y_i, lam, b_i = _inner_inputs(41, blk)
+    _, tr = run_inner(Block(blk.smooth, zero_prox(), blk.op), x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+                      Gamma_prev=0.0, psi_eps=np.inf, force_iters=10, trace=True)
+    trials = np.cumsum(np.asarray(tr.backtracks) + 1)
+    expected_l = int(np.searchsorted(trials, spoiled_call)) + 1
+
+    spoiled, calls = _prox_spoiling_call(spoiled_call, 2, bad)
+    with pytest.raises(NumericError, match="prox step produced non-finite values") as info:
+        run_inner(Block(blk.smooth, spoiled, blk.op), x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+                  Gamma_prev=0.0, psi_eps=np.inf, force_iters=10, ctx=(5, 1))
+    assert len(calls) == spoiled_call
+    assert info.value.context == {"routine": "run_inner", "inner_iteration": expected_l,
+                                  "outer_iteration": 5, "block": 1}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["constant", "pinned"])
+def test_overflowing_finite_step_is_not_an_error(case):
+    # a finite step whose squared norm overflows to inf passes the scalar
+    # test's cold path, and the loop still matches its frozen reference
+    blk, cfg = _inner_case(case, 43)
+    x_i, y_i, lam, b_i = _inner_inputs(43, blk)
+    spoiled, _ = _prox_spoiling_call(2, 0, 1e200)
+    blk = Block(blk.smooth, spoiled, blk.op)
+    kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=4, trace=True)
+    new = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg, **kw)
+    spoiled_ref, _ = _prox_spoiling_call(2, 0, 1e200)
+    ref = run_inner_reference(Block(blk.smooth, spoiled_ref, blk.op),
+                              x_i, y_i, lam, b_i, 1.0, 2.0, cfg, **kw)
+    _assert_same(new, ref)
+    res, tr = new
+    assert tr.step_sq[1] == np.inf
+    assert np.isfinite(res.x_next).all() and res.r == np.inf
 
 
 @pytest.mark.parametrize("field", ["max_iters"])

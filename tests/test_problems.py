@@ -199,6 +199,13 @@ def test_gaussian_kernel_properties():
         SeparableBlur(8, np.array([0.5, 0.5]))  # even length
 
 
+@pytest.mark.parametrize("side", [-3, 0, 2.5, True])
+def test_separable_blur_rejects_bad_side(side):
+    # these used to fail inside ``np.eye``, build an empty map, or truncate
+    with pytest.raises(ConfigError, match="side"):
+        SeparableBlur(side, gaussian_kernel())
+
+
 def test_from_id_parses_and_rejects():
     assert from_id("qp-7-m3").id == "qp-7-m3"
     assert from_id("qp-7-m2-mu0.5").id == "qp-7-m2-mu0.5"

@@ -1,18 +1,23 @@
-"""Property tests: prox maps, operator adjoints and back substitution.
+"""Property tests: prox maps, operator adjoints, back substitution, repeatable solves.
 
 Hypothesis draws the shapes and entries; ``derandomize=True`` fixes the
 examples it draws, so every run checks the same cases.
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D, HaarMap,
                               ScaledIdentity, VStack, ZeroMap)
-from iadmm.problems import SeparableBlur
-from iadmm.proxlib import group_l2_prox, l1_prox, zero_prox
+from iadmm.outer import SolverParams, solve
+from iadmm.problems import SeparableBlur, from_id, gen_qp
+from iadmm.proxlib import group_l2_prox, l1_prox, quadratic, quadratic_smooth, zero_prox
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -162,3 +167,87 @@ def test_back_substitution_residual_property(dims, rows, alpha, data):
     # rounding grows with the size of the terms that cancel in M^T d
     scale = 1.0 + target.norm() + BlockVector([g * di for g, di in zip(gammas, d.blocks)]).norm()
     assert resid <= 1e-12 * scale
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@st.composite
+def _dense_matrices(draw, side):
+    # non-square shapes up to ``side`` and Fortran-ordered (transposed) storage
+    rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return rng.standard_normal((cols, rows)).T, rng
+    return rng.standard_normal((rows, cols)), rng
+
+
+@SETTINGS
+@given(drawn=_dense_matrices(300))
+def test_dense_map_products_match_matmul_bitwise_property(drawn):
+    mat, rng = drawn
+    op = DenseMap(mat)
+    x, w = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
+    assert _same_bits(op.apply(x), mat @ x)
+    assert _same_bits(op.adjoint(w), mat.T @ w)
+
+
+@SETTINGS
+@given(drawn=_dense_matrices(96))
+def test_smooth_terms_match_matmul_bitwise_property(drawn):
+    mat, rng = drawn
+    # the quadratic symmetrizes its Hessian (and takes an eigendecomposition,
+    # hence the smaller sizes); the expressions below are the ``@`` forms
+    # its value and gradient were first written in
+    n = mat.shape[1]
+    term = quadratic(mat.T @ mat, rng.standard_normal(n))
+    H, c = term.hessian, term.linear
+    x = rng.standard_normal(n)
+    value, grad = float(0.5 * (x @ (H @ x)) + c @ x), H @ x + c
+    assert _same_bits(term.value(x), value)
+    assert _same_bits(term.value(x.tolist()), value)
+    assert _same_bits(term.grad(x), grad)
+    fused = term.value_grad(x)
+    assert _same_bits(fused[0], value) and _same_bits(fused[1], grad)
+
+    f = rng.standard_normal(mat.shape[0])
+    term = quadratic_smooth(DenseMap(mat), f, lipschitz=1.0, modulus=0.0)
+    r = mat @ x - f
+    value, grad = float(0.5 * (r @ r)), mat.T @ r
+    assert _same_bits(term.value(x), value)
+    assert _same_bits(term.grad(x), grad)
+    fused = term.value_grad(x)
+    assert _same_bits(fused[0], value) and _same_bits(fused[1], grad)
+
+
+def _solve_bytes(problem, params, ref):
+    """Every ``History`` array, ``Gammas``, the events and ``z``/``lam`` of one solve, as bytes."""
+    rep = solve(problem, params, ref=ref)
+    out = {f.name: pickle.dumps(getattr(rep.history, f.name))
+           for f in dataclasses.fields(rep.history)}
+    out["events"] = pickle.dumps(rep.events)
+    out["z"], out["lam"] = rep.z.to_flat().tobytes(), rep.lam.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("strong", [False, True])
+@pytest.mark.parametrize("safeguard", [False, True])
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 3))
+def test_qp_solve_is_bitwise_repeatable_property(seed, m, strong, safeguard):
+    entry = gen_qp(seed, m=m, mu=0.5 if strong else 0.0)
+    # a small starting weight makes the safeguard log events
+    params = SolverParams(mode="strong" if strong else "convex", tol=0.0, max_outer=20,
+                          gamma_mode="safeguard" if safeguard else "power", gamma_init=0.5)
+    first = _solve_bytes(entry.problem, params, entry.reference)
+    assert _solve_bytes(entry.problem, params, entry.reference) == first
+
+
+def test_lasso_solve_is_bitwise_repeatable():
+    entry = from_id("lasso-2")
+    params = SolverParams(alpha=0.8, tol=0.0, max_outer=60)
+    first = _solve_bytes(entry.problem, params, entry.reference)
+    assert _solve_bytes(entry.problem, params, entry.reference) == first
+
