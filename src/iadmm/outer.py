@@ -33,7 +33,7 @@ from .blockspace import BlockTriangular, BlockVector
 from .diagnostics import energy, kkt_error, lagrangian_gap
 from .errors import ConfigError, NumericError, check_count
 from .inner import InnerConfig, InnerResult, run_inner
-from .oracle import subproblem_minimizer
+from .oracle import lipschitz_bound, subproblem_minimizer
 from .problem import ProblemSpec
 
 HISTORY_COLUMNS = ("k", "eps", "feas", "yz_gap", "R", "obj", "E", "kkt", "rho", "gamma1")
@@ -237,6 +237,11 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
 
     strong = params.mode == "strong"
     exact = params.mode == "exact"
+    if exact:
+        # the oracle steps by each block's curvature bound: a block without
+        # one fails here, before sweep 1
+        for blk in problem.blocks:
+            lipschitz_bound(blk.smooth)
     theta = k0 = None
     if strong:
         mu = problem.mu_total()
@@ -276,8 +281,12 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
             if exact:
                 # oracle solve: the lookahead and the new iterate coincide, the
                 # inexactness term vanishes and the accuracy weight carries over
-                xbar = subproblem_minimizer(problem.blocks[i], y.blocks[i], lam, b_i,
-                                            rho_k, gammas[i], tol=params.exact_tol)
+                try:
+                    xbar = subproblem_minimizer(problem.blocks[i], y.blocks[i], lam, b_i,
+                                                rho_k, gammas[i], tol=params.exact_tol)
+                except NumericError as err:
+                    err.context.update(outer_iteration=k, block=i)
+                    raise
                 res = InnerResult(x_next=xbar, z=xbar.copy(), Gamma=Gamma[i], r=0.0, iters=0)
             else:
                 floor = Gamma[i]

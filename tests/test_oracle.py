@@ -1,16 +1,21 @@
 """Independent reference solvers used to certify and cross-check runs."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import iadmm.outer
 from iadmm.blockspace import BlockVector, DenseMap
 from iadmm.diagnostics import ReferencePair
 from iadmm.errors import CertificationError, ConfigError
 from iadmm.inner import InnerConfig, run_inner
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.problem import Block, ProblemSpec
-from iadmm.problems import gen_qp
-from iadmm.proxlib import l1_prox, quadratic, soft_threshold, zero_prox
+from iadmm.problems import CORPUS_DIR_ENV, gen_lasso, gen_qp
+from iadmm.proxlib import (SmoothTerm, group_l2_prox, l1_prox, quadratic, soft_threshold,
+                           zero_prox)
 
 
 def _hand_qp():
@@ -66,18 +71,35 @@ def test_kkt_solver_rejects_nonsmooth_blocks():
         solve_qp_kkt(problem)
 
 
-def _subproblem_inputs(seed, weight=0.2):
+def _subproblem_inputs(seed, weight=0.2, group=False):
+    # ``group`` swaps the l1 term for group norms of pairs, on 6 entries
     rng = np.random.default_rng(seed)
-    dim = 5
+    dim = 6 if group else 5
     G = rng.standard_normal((dim, dim)) / np.sqrt(dim)
     H = G.T @ G + 0.4 * np.eye(dim)
-    blk = Block(quadratic(H, rng.standard_normal(dim), modulus=0.4),
-                l1_prox(weight) if weight else zero_prox(),
+    if group:
+        prox = group_l2_prox(weight, 2)
+    else:
+        prox = l1_prox(weight) if weight else zero_prox()
+    blk = Block(quadratic(H, rng.standard_normal(dim), modulus=0.4), prox,
                 DenseMap(rng.standard_normal((dim + 1, dim)) / np.sqrt(dim)))
     y_i = rng.standard_normal(dim)
     lam = rng.standard_normal(dim + 1)
     b_i = rng.standard_normal(dim + 1)
     return blk, y_i, lam, b_i
+
+
+def _blind(blk):
+    """The block with its Hessian hidden, which forces the oracle onto the operator path."""
+    return Block(dataclasses.replace(blk.smooth, hessian=None, linear=None),
+                 blk.nonsmooth, blk.op)
+
+
+def _unit_step_residual(blk, xbar, y_i, lam, b_i, rho, gamma_i):
+    """``||u - prox(u - grad, 1)||`` of the subproblem at ``xbar``, from the operators."""
+    w_pen = blk.op.adjoint(blk.op.apply(y_i) - b_i + lam / rho)
+    grad = blk.smooth.grad(xbar) + rho * w_pen + rho * gamma_i * (xbar - y_i)
+    return np.linalg.norm(xbar - blk.nonsmooth.prox(xbar - grad, 1.0))
 
 
 def test_subproblem_minimizer_direct_vs_iterative():
@@ -86,16 +108,91 @@ def test_subproblem_minimizer_direct_vs_iterative():
     blk, y_i, lam, b_i = _subproblem_inputs(70, weight=0.0)
     rho, gamma_i = 1.2, 2.5
     direct = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
-    # force the iterative branch by hiding the Hessian
-    blind = Block(
-        type(blk.smooth)(value=blk.smooth.value, grad=blk.smooth.grad,
-                         value_grad=blk.smooth.value_grad,
-                         lipschitz=blk.smooth.lipschitz,
-                         modulus=blk.smooth.modulus),
-        blk.nonsmooth, blk.op)
-    iterative = subproblem_minimizer(blind, y_i, lam, b_i, rho, gamma_i,
+    iterative = subproblem_minimizer(_blind(blk), y_i, lam, b_i, rho, gamma_i,
                                      tol=1e-12)
     assert np.linalg.norm(direct - iterative) <= 1e-8
+
+
+def test_zero_prox_branch_is_the_dense_solve_bitwise():
+    blk, y_i, lam, b_i = _subproblem_inputs(75, weight=0.0)
+    rho, gamma_i = 1.2, 2.5
+    rg = rho * gamma_i
+    rw = rho * blk.op.adjoint(blk.op.apply(y_i) - b_i + lam / rho)
+    want = np.linalg.solve(blk.smooth.hessian + rg * np.eye(y_i.size),
+                           rg * y_i - blk.smooth.linear - rw)
+    got = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("group", [False, True])
+@pytest.mark.parametrize("seed", [76, 77, 78])
+def test_dense_path_matches_operator_path(seed, group):
+    # the explicit-Hessian system and the hidden-Hessian operator calls
+    # reach the same minimizer, each to the unit-step residual it was asked for
+    blk, y_i, lam, b_i = _subproblem_inputs(seed, weight=0.3, group=group)
+    rho, gamma_i = 1.3, 2.2
+    dense = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i, tol=1e-13)
+    blind = subproblem_minimizer(_blind(blk), y_i, lam, b_i, rho, gamma_i, tol=1e-13)
+    assert np.linalg.norm(dense - blind) <= 1e-12
+    for u in (dense, blind):
+        assert _unit_step_residual(blk, u, y_i, lam, b_i, rho, gamma_i) <= 1e-13
+
+
+def _no_bound_block():
+    # 0.5 u^T (3 I) u + 2 * 1^T u with its curvature withheld
+    quad = quadratic(3.0 * np.eye(3), 2.0 * np.ones(3))
+    smooth = SmoothTerm(value=quad.value, grad=quad.grad, value_grad=quad.value_grad)
+    return Block(smooth, l1_prox(0.1), DenseMap(np.eye(3)))
+
+
+def test_subproblem_minimizer_rejects_a_block_without_curvature_bound():
+    blk = _no_bound_block()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="Lipschitz bound"):
+            subproblem_minimizer(blk, np.zeros(3), np.zeros(3), np.ones(3), 1.0, 1.0)
+
+
+def test_exact_solve_rejects_a_block_without_curvature_bound_before_sweep_1(monkeypatch):
+    # a well-posed block 0 comes first, so only a check ahead of the sweep
+    # keeps the oracle from being called at all
+    good = Block(quadratic(np.eye(3), np.zeros(3)), l1_prox(0.1), DenseMap(np.eye(3)))
+    problem = ProblemSpec([good, _no_bound_block()], np.ones(3))
+    oracle_calls = []
+    monkeypatch.setattr(iadmm.outer, "subproblem_minimizer",
+                        lambda *a, **kw: oracle_calls.append(1) or subproblem_minimizer(*a, **kw))
+    with pytest.raises(ConfigError, match="Lipschitz bound"):
+        iadmm.outer.solve(problem, iadmm.outer.SolverParams(mode="exact"))
+    assert oracle_calls == []
+
+
+# block-0 prox calls of gen_lasso(1)'s exact-mode reference run (528
+# sweeps) with the oracle's 2 / (L + mu) step; the 1 / L step took 24,730
+LASSO_1_BLOCK_0_PROX_CALLS = 15_552
+
+
+def test_lasso_reference_run_oracle_work_is_pinned(monkeypatch):
+    # a count, not a clock: a slower step shows up as more prox calls
+    monkeypatch.delenv(CORPUS_DIR_ENV, raising=False)
+    real_solve = iadmm.outer.solve
+    counts = []
+
+    def counting_solve(problem, params=None, ref=None):
+        blk = problem.blocks[0]
+        calls = []
+
+        def prox(y, tau):
+            calls.append(1)
+            return blk.nonsmooth.prox(y, tau)
+
+        counted = Block(blk.smooth, dataclasses.replace(blk.nonsmooth, prox=prox), blk.op)
+        report = real_solve(ProblemSpec([counted] + problem.blocks[1:], problem.b), params, ref)
+        counts.append((params.mode, report.iterations, len(calls)))
+        return report
+
+    monkeypatch.setattr(iadmm.outer, "solve", counting_solve)
+    gen_lasso(1)
+    assert counts == [("exact", 528, LASSO_1_BLOCK_0_PROX_CALLS)]
 
 
 def test_subproblem_minimizer_stationarity_with_l1():

@@ -12,7 +12,7 @@ from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.outer import SolverParams, gamma_compatible, solve, step3_update
 from iadmm.problem import Block, ProblemSpec
 from iadmm.problems import from_id, gen_qp
-from iadmm.proxlib import quadratic, zero_prox
+from iadmm.proxlib import ProxTerm, l1_prox, quadratic, zero_prox
 
 
 def _hand_qp():
@@ -181,6 +181,35 @@ def test_solve_raises_on_non_finite_residual(monkeypatch):
     with pytest.raises(NumericError, match="not finite") as info:
         solve(entry.problem, SolverParams(mode="exact", max_outer=200))
     assert info.value.context["outer_iteration"] == 1
+
+
+def _spoiled_exact_problem(first_bad_call):
+    """Two-block problem whose block-1 l1 prox returns nan from call ``first_bad_call`` on."""
+    entry = gen_qp(3, m=2)
+    l1 = l1_prox(0.2)
+    calls = []
+
+    def prox(y, tau):
+        calls.append(1)
+        out = l1.prox(y, tau)
+        return np.full_like(out, np.nan) if len(calls) >= first_bad_call else out
+
+    blk = entry.problem.blocks[1]
+    blocks = [entry.problem.blocks[0], Block(blk.smooth, ProxTerm(l1.value, prox), blk.op)]
+    return ProblemSpec(blocks, entry.problem.b), calls
+
+
+def test_exact_mode_numeric_error_names_sweep_and_block():
+    # the oracle calls of sweep 1 pass; from the third call of sweep 2 on
+    # the prox returns nan, the next update carries it into the iterate,
+    # and the oracle's error names the sweep and the block that made it
+    problem, calls = _spoiled_exact_problem(np.inf)
+    solve(problem, SolverParams(mode="exact", tol=0.0, max_outer=1))
+    problem, _ = _spoiled_exact_problem(len(calls) + 3)
+    with pytest.raises(NumericError, match="subproblem oracle produced non-finite values") as info:
+        solve(problem, SolverParams(mode="exact", tol=0.0, max_outer=5))
+    assert info.value.context == {"routine": "subproblem_minimizer",
+                                  "outer_iteration": 2, "block": 1}
 
 
 def test_exact_zero_termination_on_integer_fixture():

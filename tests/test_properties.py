@@ -1,4 +1,5 @@
-"""Property tests: prox maps, operator adjoints, back substitution, repeatable solves.
+"""Property tests: prox maps, operator adjoints, back substitution, the subproblem
+oracle's two paths, repeatable solves.
 
 Hypothesis draws the shapes and entries; ``derandomize=True`` fixes the
 examples it draws, so every run checks the same cases.
@@ -15,7 +16,9 @@ from hypothesis.extra import numpy as hnp
 
 from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D, HaarMap,
                               ScaledIdentity, VStack, ZeroMap)
+from iadmm.oracle import subproblem_minimizer
 from iadmm.outer import SolverParams, solve
+from iadmm.problem import Block
 from iadmm.problems import SeparableBlur, from_id, gen_qp
 from iadmm.proxlib import group_l2_prox, l1_prox, quadratic, quadratic_smooth, zero_prox
 
@@ -220,6 +223,31 @@ def test_smooth_terms_match_matmul_bitwise_property(drawn):
     assert _same_bits(term.grad(x), grad)
     fused = term.value_grad(x)
     assert _same_bits(fused[0], value) and _same_bits(fused[1], grad)
+
+
+@SETTINGS
+@given(kind=PROX_KINDS, weight=POSITIVE, mu=st.floats(0.1, 1.0), rho=st.floats(0.5, 2.0),
+       gamma_i=st.floats(0.5, 4.0), pairs=st.integers(1, 3), data=st.data())
+def test_oracle_dense_path_matches_operator_path_property(kind, weight, mu, rho, gamma_i,
+                                                          pairs, data):
+    # the explicit-Hessian system (a direct solve for the zero prox) and the
+    # hidden-Hessian operator path reach the same unit-step fixed point
+    dim = 2 * pairs
+    G = data.draw(_matrix(dim, dim)) / np.sqrt(dim)
+    A = data.draw(_matrix(dim + 1, dim))
+    c, y_i = data.draw(_vector(dim)), data.draw(_vector(dim))
+    lam, b_i = data.draw(_vector(dim + 1)), data.draw(_vector(dim + 1))
+    prox, _ = _prox_and_dual_projection(kind, weight)
+    blk = Block(quadratic(G.T @ G + mu * np.eye(dim), c, modulus=mu), prox, DenseMap(A))
+    blind = Block(dataclasses.replace(blk.smooth, hessian=None, linear=None), prox, blk.op)
+    dense = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
+    iterative = subproblem_minimizer(blind, y_i, lam, b_i, rho, gamma_i)
+    scale = 1.0 + np.linalg.norm(dense)
+    assert np.linalg.norm(dense - iterative) <= 1e-9 * scale
+    w_pen = A.T @ (A @ y_i - b_i + lam / rho)
+    for u in (dense, iterative):
+        grad = blk.smooth.grad(u) + rho * w_pen + rho * gamma_i * (u - y_i)
+        assert np.linalg.norm(u - prox.prox(u - grad, 1.0)) <= 1e-9 * scale
 
 
 def _solve_bytes(problem, params, ref):
