@@ -9,7 +9,7 @@ makes the sweep order harmless.
 
 from .blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D,
                          HaarMap, LinearMap, ScaledIdentity, VStack, ZeroMap,
-                         load_vector, save_vector, spectral_norm)
+                         spectral_norm)
 from .diagnostics import (CheckRow, RateFit, ReferencePair, energy, kkt_error,
                           lagrangian_gap, rate_fit, two_step_ratio)
 from .errors import (CertificationError, ConfigError, IadmmError,

@@ -64,10 +64,6 @@ class BlockVector:
         return cls._wrap(out)
 
     @property
-    def m(self):
-        return len(self.blocks)
-
-    @property
     def dims(self):
         return tuple(b.size for b in self.blocks)
 
@@ -82,10 +78,6 @@ class BlockVector:
 
     def norm(self):
         return float(np.sqrt(self.norm_sq()))
-
-    def dot(self, other):
-        self._check_like(other)
-        return float(sum(float(a @ b) for a, b in zip(self.blocks, other.blocks)))
 
     def _check_like(self, other):
         if not isinstance(other, BlockVector) or other.dims != self.dims:
@@ -104,15 +96,6 @@ class BlockVector:
         return BlockVector._wrap([c * b for b in self.blocks])
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __getitem__(self, i):
-        return self.blocks[i]
 
     def __repr__(self):
         return "BlockVector(dims=%s)" % (self.dims,)
@@ -533,30 +516,3 @@ class BlockTriangular:
         if self._scaled_p_norm is None:
             self._scaled_p_norm = self._flat_sym_norm(self.apply_scaled_p)
         return self._scaled_p_norm
-
-
-def save_vector(path, v):
-    """Write a vector as plain text: a ``rows 1`` header, then one ``%.17g`` entry per line."""
-    v = _vec(v)
-    with open(path, "w") as fh:
-        fh.write("%d 1\n" % v.size)
-        for x in v:
-            fh.write("%.17g\n" % x)
-
-
-def load_vector(path):
-    """Read a vector written by :func:`save_vector`."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 2:
-            raise StructuralError("expected 'rows cols' header in %s" % path)
-        try:
-            r, c = int(head[0]), int(head[1])
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise StructuralError("cannot parse %s: %s" % (path, exc)) from exc
-    if data.size != r * c:
-        raise StructuralError("expected %d entries in %s, found %d" % (r * c, path, data.size))
-    if c != 1:
-        raise StructuralError("expected a single-column vector file, got %s" % ((r, c),))
-    return data.reshape(-1)

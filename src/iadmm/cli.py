@@ -14,10 +14,8 @@ import json
 import logging
 import sys
 
-import numpy as np
-
 from .diagnostics import all_passed, two_step_ratio, write_check_csv
-from .errors import IadmmError
+from .errors import ConfigError, IadmmError
 from .outer import SolverParams, solve
 from .problems import from_id
 from .suites import (
@@ -109,20 +107,15 @@ def _fit_row(name, ks, vals, window, threshold, floor=0.0):
 
 
 def cmd_rates(args):
-    entry = from_id(args.problem)
-    if entry.reference is None:
-        print("problem %s has no certified reference; rate study needs one"
-              % args.problem, file=sys.stderr)
-        return 1
     mode = args.mode
     if mode == "exact":
-        print("rate studies run the inexact solver; use convex or strong",
-              file=sys.stderr)
-        return 1
+        raise ConfigError("rate studies run the inexact solver; use convex or strong")
+    entry = from_id(args.problem)
+    if entry.reference is None:
+        raise ConfigError("problem %s has no certified reference; rate study needs one"
+                          % args.problem)
     if mode == "strong" and entry.problem.mu_total() <= 0.0:
-        print("problem %s is not strongly convex" % args.problem,
-              file=sys.stderr)
-        return 1
+        raise ConfigError("problem %s is not strongly convex" % args.problem)
     iters = args.max_outer if args.max_outer is not None else (
         450 if mode == "strong" else 2100)
     params = _params_from_args(args, max_outer=iters)
@@ -138,11 +131,10 @@ def cmd_rates(args):
         rows.append(_fit_row("ergodic-gap", h.k, h.erg_gap,
                              (50, min(2000, iters)), ERGODIC_SLOPE))
         if "polyhedral" in entry.tags and h.E is not None:
-            E = np.asarray(h.E)
-            ratios, tail_max = two_step_ratio(E, rel_floor=1e-22)
+            ratios, tail_max = two_step_ratio(h.E, rel_floor=1e-22)
             if tail_max is not None:
-                dead = np.nonzero(E < np.nanmax(E) * 1e-22)[0]
-                hi = int(dead[0]) if dead.size else E.size
+                # the ratios end where two_step_ratio cut the series
+                hi = ratios.size + 2
                 rows.append(["two-step-tail-max", max(1, hi - 52), hi,
                              tail_max, 1.0, tail_max < 1.0])
     with open(args.out, "w", newline="") as fh:
@@ -189,10 +181,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IadmmError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (IadmmError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

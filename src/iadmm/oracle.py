@@ -108,9 +108,10 @@ def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i, tol=1e-12):
         res = math.sqrt(d.dot(d))
         if res <= tol:
             return u
-        # a non-finite entry of ``u`` makes ``res`` non-finite, so the
-        # array test only runs on that cold path
-        if not math.isfinite(res) and not np.isfinite(u).all():
+        # a non-finite entry of ``u`` or of the prox output makes ``d`` and
+        # ``res`` non-finite, so the array test only runs on that cold path;
+        # a finite ``d`` whose square overflows passes, as in ``run_inner``
+        if not math.isfinite(res) and not np.isfinite(d).all():
             raise NumericError("subproblem oracle produced non-finite values",
                                context={"routine": "subproblem_minimizer"})
         u = prox(u - tau * g, tau)

@@ -54,9 +54,9 @@ class SolverParams:
     threshold is ``psi(eps) = eps``: the paper's weights ``theta_1..3`` and
     ``c_psi`` are fixed at 1.  ``gamma_mode`` chooses between
     power-iteration initialization of the diagonal weights and the
-    safeguarded variant that starts every weight at ``gamma_init`` and
-    multiplies by ``GAMMA_FACTOR`` whenever
-    ``gamma_i ||z_i - y_i||^2 < ||A_i (z_i - y_i)||^2`` is observed.
+    safeguarded variant that starts every weight at ``gamma_init`` and,
+    after each sweep, multiplies it by ``GAMMA_FACTOR`` while
+    ``gamma_i ||z_i - y_i||^2 < ||A_i (z_i - y_i)||^2``.
     ``x0`` (a :class:`BlockVector`) and ``lam0`` are an optional finite
     starting point.
     """
@@ -315,12 +315,19 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                                context={"routine": "solve", "outer_iteration": k})
 
         # --- safeguard: grow diagonal weights that the sweep outran -------
+        # bump until compatible, one event per bump: a single bump can leave
+        # a tiny weight far below ||A_i^T A_i||, and the corrective step then
+        # throws y and lam so far that the next sweep's inner loop cannot finish
         if params.gamma_mode == "safeguard":
             changed = False
             for i in range(m):
-                if not gamma_compatible(ops[i], gammas[i], z.blocks[i], y.blocks[i]):
+                while not gamma_compatible(ops[i], gammas[i], z.blocks[i], y.blocks[i]):
                     old = gammas[i]
                     gammas[i] *= GAMMA_FACTOR
+                    if not math.isfinite(gammas[i]):
+                        raise NumericError(
+                            "safeguard grew a diagonal weight past the float range",
+                            context={"routine": "solve", "outer_iteration": k, "block": i})
                     events.append({"k": k, "event": "gamma-safeguard", "block": i,
                                    "old": old, "new": gammas[i]})
                     changed = True

@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D,
-                         HaarMap, LinearMap, ScaledIdentity, VStack, ZeroMap,
-                         load_vector, save_vector)
+from .blockspace import (BlockTriangular, DenseMap, Grad2D, HaarMap, LinearMap,
+                         ScaledIdentity, VStack, ZeroMap)
 from .diagnostics import ReferencePair
 from .errors import CertificationError, ConfigError, check_count
 from .oracle import solve_qp_kkt
@@ -40,8 +38,6 @@ from .proxlib import (group_l2_prox, l1_prox, quadratic, quadratic_smooth,
                       zero_prox, zero_smooth)
 
 log = logging.getLogger(__name__)
-
-CORPUS_DIR_ENV = "IADMM_CORPUS_DIR"
 
 
 @dataclass
@@ -174,37 +170,6 @@ def gen_qp(seed, m=2, mu=0.0, p_floor=None):
     raise ConfigError("could not generate a certifiable QP for seed %s" % seed)
 
 
-def _reference_cache_path(ident):
-    root = os.environ.get(CORPUS_DIR_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, "%s.ref.txt" % ident)
-
-
-def _load_cached_reference(problem, ident):
-    path = _reference_cache_path(ident)
-    if path is None or not os.path.exists(path):
-        return None
-    flat = load_vector(path)
-    n = problem.n
-    if flat.size != n + problem.rhs_dim:
-        return None
-    x = BlockVector.from_flat(flat[:n], problem.dims)
-    try:
-        return ReferencePair(problem, x, flat[n:], source="cache:%s" % path)
-    except CertificationError:
-        log.warning("cached reference for %s failed its gate; recomputing", ident)
-        return None
-
-
-def _store_cached_reference(ident, ref):
-    path = _reference_cache_path(ident)
-    if path is None:
-        return
-    save_vector(path, np.concatenate([ref.x_star.to_flat(), ref.lam_star]))
-
-
 def gen_lasso(seed):
     """Quadratic-plus-l1 problem; reference from a certified exact-mode run.
 
@@ -212,8 +177,7 @@ def gen_lasso(seed):
     carries a least-squares term, the blocks carry l1 terms weighted
     0.15 and 0.1, and the constraint has a feasible right-hand side from a
     sparse draw.  The reference pair is produced by running the solver in
-    exact mode to a tiny residual and certifying the result; when the
-    corpus cache directory is configured the pair is cached there.
+    exact mode to a tiny residual and certifying the result.
     """
     from .outer import SolverParams, solve  # local import to avoid a cycle
 
@@ -239,15 +203,12 @@ def gen_lasso(seed):
     problem = ProblemSpec(blocks, b)
 
     ident = "lasso-%s" % seed
-    ref = _load_cached_reference(problem, ident)
-    if ref is None:
-        params = SolverParams(mode="exact", rho=1.0, alpha=0.9, tol=1e-12,
-                              max_outer=200_000, exact_tol=1e-13)
-        report = solve(problem, params)
-        if report.cause == "max-iterations":
-            raise ConfigError("exact-mode reference run for %s did not converge" % ident)
-        ref = ReferencePair(problem, report.z, report.lam, source="exact-mode-run")
-        _store_cached_reference(ident, ref)
+    params = SolverParams(mode="exact", rho=1.0, alpha=0.9, tol=1e-12,
+                          max_outer=200_000, exact_tol=1e-13)
+    report = solve(problem, params)
+    if report.cause == "max-iterations":
+        raise ConfigError("exact-mode reference run for %s did not converge" % ident)
+    ref = ReferencePair(problem, report.z, report.lam, source="exact-mode-run")
     return CorpusEntry(
         id=ident, problem=problem, seed=int(seed), reference=ref,
         tags=frozenset({"lasso", "polyhedral"}), data=data,

@@ -1,4 +1,4 @@
-"""Linear-operator layer: adjoints, the triangular factor, text I/O."""
+"""Linear-operator layer: block vectors, adjoints, the triangular factor."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from iadmm.blockspace import (
     ScaledIdentity,
     VStack,
     ZeroMap,
-    load_vector,
-    save_vector,
     spectral_norm,
 )
 from iadmm.errors import ConfigError, NumericError, StructuralError
@@ -35,12 +33,11 @@ def _adjoint_gap(op, rng, pairs=100):
 def test_block_vector_algebra():
     x = BlockVector.from_flat(np.arange(5.0), (2, 3))
     y = BlockVector.from_flat(np.ones(5), (2, 3))
-    assert x.m == 2 and x.dims == (2, 3)
+    assert x.dims == (2, 3)
     assert np.allclose((x + y).to_flat(), np.arange(5.0) + 1)
     assert np.allclose((x - y).to_flat(), np.arange(5.0) - 1)
     assert np.allclose((x * 2.0).to_flat(), 2 * np.arange(5.0))
     assert x.norm_sq() == pytest.approx(np.sum(np.arange(5.0) ** 2))
-    assert x.dot(y) == pytest.approx(10.0)
     z = x.copy()
     z.blocks[0][0] = 99.0
     assert x.blocks[0][0] == 0.0
@@ -48,8 +45,7 @@ def test_block_vector_algebra():
 
 def test_block_vector_zeros_and_len():
     z = BlockVector.zeros((4, 1, 3))
-    assert len(z) == 3 and z.norm() == 0.0
-    assert z[1].shape == (1,)
+    assert z.dims == (4, 1, 3) and z.norm() == 0.0
 
 
 @pytest.mark.parametrize("op", [
@@ -238,18 +234,3 @@ def test_triangular_rejects_bad_gammas():
     with pytest.raises(ConfigError):
         BlockTriangular([1.0, -2.0], [DenseMap(np.ones((2, 1)))] * 2)
 
-
-def test_dense_text_round_trip(tmp_path):
-    rng = np.random.default_rng(37)
-    v = rng.standard_normal(6)
-    vpath = tmp_path / "vec.txt"
-    save_vector(vpath, v)
-    assert vpath.read_text().splitlines()[0] == "6 1"
-    w = load_vector(vpath)
-    assert np.array_equal(v, w)
-    # a header, an entry count or a column count that does not fit is refused
-    for text in ("6\n1\n", "2 1\n1\nx\n", "3 1\n1\n2\n", "2 2\n1 2\n3 4\n"):
-        bad = tmp_path / "bad.txt"
-        bad.write_text(text)
-        with pytest.raises(StructuralError):
-            load_vector(bad)

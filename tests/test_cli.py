@@ -12,14 +12,6 @@ from iadmm.errors import NumericError
 from iadmm.outer import HISTORY_COLUMNS, SolverParams
 
 
-@pytest.fixture(autouse=True)
-def _cache(tmp_path_factory, monkeypatch):
-    # share generated references across the CLI tests in this module
-    cache = tmp_path_factory.getbasetemp() / "corpus-cache"
-    cache.mkdir(exist_ok=True)
-    monkeypatch.setenv("IADMM_CORPUS_DIR", str(cache))
-
-
 def test_solve_writes_history_and_manifest(tmp_path):
     out = tmp_path / "hist.csv"
     rc = main(["solve", "--problem", "qp-1-m2", "--tol", "1e-8",
@@ -58,16 +50,6 @@ def test_solve_manifest_rebuilds_its_params(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
     assert len(seen) == 1
     assert SolverParams(**manifest["params"]) == seen[0]
-
-
-def test_solve_corrupt_reference_cache_exits_one(tmp_path, monkeypatch, capsys):
-    # an unparsable cached reference is reported as an error, not a traceback
-    monkeypatch.setenv("IADMM_CORPUS_DIR", str(tmp_path))
-    (tmp_path / "lasso-1.ref.txt").write_text("3 1\n1.0\nabc\n2.0\n")
-    rc = main(["solve", "--problem", "lasso-1", "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "lasso-1.ref.txt" in err
 
 
 def test_solve_iteration_cap_exits_two(tmp_path):
@@ -172,6 +154,16 @@ def test_rates_missing_reference_exits_one(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "reference" in capsys.readouterr().err
+
+
+def test_rates_exact_mode_refused_before_generation(tmp_path, monkeypatch, capsys):
+    # the refusal depends on the arguments alone, so no reference is built
+    monkeypatch.setattr(iadmm.cli, "from_id", lambda ident: pytest.fail("generated " + ident))
+    rc = main(["rates", "--problem", "lasso-1", "--mode", "exact",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: rate studies run the inexact solver; use convex or strong\n")
 
 
 def test_rates_strong_mode_needs_strong_problem(tmp_path, capsys):

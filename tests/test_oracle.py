@@ -13,7 +13,7 @@ from iadmm.errors import CertificationError, ConfigError
 from iadmm.inner import InnerConfig, run_inner
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.problem import Block, ProblemSpec
-from iadmm.problems import CORPUS_DIR_ENV, gen_lasso, gen_qp
+from iadmm.problems import gen_lasso, gen_qp
 from iadmm.proxlib import (SmoothTerm, group_l2_prox, l1_prox, quadratic, soft_threshold,
                            zero_prox)
 
@@ -173,7 +173,6 @@ LASSO_1_BLOCK_0_PROX_CALLS = 15_552
 
 def test_lasso_reference_run_oracle_work_is_pinned(monkeypatch):
     # a count, not a clock: a slower step shows up as more prox calls
-    monkeypatch.delenv(CORPUS_DIR_ENV, raising=False)
     real_solve = iadmm.outer.solve
     counts = []
 

@@ -183,8 +183,11 @@ def test_solve_raises_on_non_finite_residual(monkeypatch):
     assert info.value.context["outer_iteration"] == 1
 
 
-def _spoiled_exact_problem(first_bad_call):
-    """Two-block problem whose block-1 l1 prox returns nan from call ``first_bad_call`` on."""
+def _spoiled_exact_problem(first_bad_call, last_bad_call=np.inf, bad=np.nan):
+    """Two-block problem whose block-1 l1 prox returns ``bad``.
+
+    The calls spoiled are ``first_bad_call`` through ``last_bad_call``.
+    """
     entry = gen_qp(3, m=2)
     l1 = l1_prox(0.2)
     calls = []
@@ -192,7 +195,7 @@ def _spoiled_exact_problem(first_bad_call):
     def prox(y, tau):
         calls.append(1)
         out = l1.prox(y, tau)
-        return np.full_like(out, np.nan) if len(calls) >= first_bad_call else out
+        return np.full_like(out, bad) if first_bad_call <= len(calls) <= last_bad_call else out
 
     blk = entry.problem.blocks[1]
     blocks = [entry.problem.blocks[0], Block(blk.smooth, ProxTerm(l1.value, prox), blk.op)]
@@ -210,6 +213,24 @@ def test_exact_mode_numeric_error_names_sweep_and_block():
         solve(problem, SolverParams(mode="exact", tol=0.0, max_outer=5))
     assert info.value.context == {"routine": "subproblem_minimizer",
                                   "outer_iteration": 2, "block": 1}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exact_mode_nan_residual_raises_and_overflow_passes():
+    # the first prox call of sweep 2's block-1 oracle forms the residual
+    # only; a nan there never reaches the iterate but still fails the
+    # solve, while a finite residual whose square overflows does not
+    problem, calls = _spoiled_exact_problem(np.inf)
+    solve(problem, SolverParams(mode="exact", tol=0.0, max_outer=1))
+    first = len(calls) + 1
+    params = SolverParams(mode="exact", tol=1e-10, max_outer=5000)
+    problem, _ = _spoiled_exact_problem(first, first)
+    with pytest.raises(NumericError, match="subproblem oracle produced non-finite values") as info:
+        solve(problem, params)
+    assert info.value.context == {"routine": "subproblem_minimizer",
+                                  "outer_iteration": 2, "block": 1}
+    problem, _ = _spoiled_exact_problem(first, first, bad=1e200)
+    assert solve(problem, params).cause == "tolerance"
 
 
 def test_exact_zero_termination_on_integer_fixture():
@@ -307,14 +328,14 @@ def test_safeguard_mode_recovers_from_tiny_gamma():
 def test_strong_schedule_updates_match_formulas():
     # every safeguard bump in strong mode recomputes theta and k0 from the
     # bumped weights; rebuild the weights from the events and recompute
-    # (all 23 events of this run fall in its first 8 sweeps)
+    # (the 17 events of this run fall in sweeps 1 and 5)
     entry = from_id("qp-2-m2-mu0.5")
     problem, alpha, g0 = entry.problem, 0.5, 1e-3
     params = SolverParams(mode="strong", alpha=alpha, gamma_mode="safeguard",
                           gamma_init=g0, tol=0.0, max_outer=20)
     report = solve(problem, params)
     updates = [e for e in report.events if e["event"] == "strong-schedule-update"]
-    assert len(report.events) == 23 and len(updates) == 8
+    assert len(report.events) == 17 and len(updates) == 2
     mu = problem.mu_total()
     gammas = [g0] * problem.m
     for e in report.events:
@@ -327,6 +348,29 @@ def test_strong_schedule_updates_match_formulas():
         assert e["k0"] == 4.0 * M.scaled_p_norm() / (alpha * (1.0 - alpha))
     assert gammas == report.gammas
     assert (report.theta, report.k0) == (updates[-1]["theta"], updates[-1]["k0"])
+
+
+def test_strong_safeguard_from_tiny_gamma_runs_at_alpha_0_9():
+    # one bump per sweep left the weights ~300x below ||A_i^T A_i|| after
+    # sweep 1 and the next sweep's inner loop hit its cap; growing each
+    # weight until it is compatible runs the whole horizon
+    entry = from_id("qp-2-m2-mu0.5")
+    params = SolverParams(mode="strong", gamma_mode="safeguard", gamma_init=1e-3,
+                          tol=0.0, max_outer=60, alpha=0.9)
+    report = solve(entry.problem, params)
+    assert report.cause == "max-iterations" and report.iterations == 60
+    bumps = [e for e in report.events if e["event"] == "gamma-safeguard"]
+    assert sum(e["k"] == 1 for e in bumps) == 14
+
+
+def test_safeguard_raises_when_a_weight_overflows(monkeypatch):
+    # a weight that never becomes compatible grows until it overflows, and
+    # that is a numeric failure with its sweep and block, not a hang
+    monkeypatch.setattr(iadmm.outer, "gamma_compatible", lambda *a: False)
+    entry = from_id("qp-1-m2")
+    with pytest.raises(NumericError, match="float range") as info:
+        solve(entry.problem, SolverParams(gamma_mode="safeguard", max_outer=5))
+    assert info.value.context == {"routine": "solve", "outer_iteration": 1, "block": 0}
 
 
 def test_history_csv_schema(tmp_path):

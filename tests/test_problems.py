@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iadmm.blockspace import Grad2D, HaarMap
-from iadmm.errors import ConfigError, StructuralError
+from iadmm.errors import ConfigError
 from iadmm.outer import SolverParams, solve
 from iadmm.problems import (
     SeparableBlur,
@@ -75,27 +75,6 @@ def test_lasso_generator_and_reference():
     for blk in entry.problem.blocks[1:]:
         assert blk.smooth.is_zero
     assert entry.reference.kkt <= 1e-9
-
-
-def test_reference_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("IADMM_CORPUS_DIR", str(tmp_path))
-    a = gen_lasso(2)
-    cached = list(tmp_path.glob("*.ref.txt"))
-    assert len(cached) == 1
-    # second generation must reuse the stored reference (same values)
-    b = gen_lasso(2)
-    assert np.array_equal(a.reference.x_star.to_flat(),
-                          b.reference.x_star.to_flat())
-    assert np.array_equal(a.reference.lam_star, b.reference.lam_star)
-
-
-def test_reference_cache_rejects_multi_column_file(tmp_path, monkeypatch):
-    # the cache is read with load_vector, so a matrix file is an error
-    # rather than a vector silently taken from its first column
-    monkeypatch.setenv("IADMM_CORPUS_DIR", str(tmp_path))
-    (tmp_path / "lasso-3.ref.txt").write_text("2 2\n1.0 2.0\n3.0 4.0\n")
-    with pytest.raises(StructuralError, match="single-column"):
-        gen_lasso(3)
 
 
 def test_imaging_structure():
