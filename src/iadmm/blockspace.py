@@ -470,7 +470,9 @@ class BlockTriangular:
             op = self.ops[i]
             di = alpha * (z.blocks[i] - y.blocks[i]) - op.adjoint(suffix) / self.gammas[i]
             d[i] = di
-            suffix = suffix + op.apply(di)
+            if i:
+                # block 0's contribution to the suffix would never be read
+                suffix = suffix + op.apply(di)
         return BlockVector._wrap([yi + di for yi, di in zip(y.blocks, d)])
 
     def p_norm_sq(self, x):

@@ -173,14 +173,30 @@ def all_passed(rows):
     return all(r.passed for r in rows)
 
 
+def _require_fixed_weights(report, check):
+    """Refuse a run outside the fixed-``rho``, fixed-``M`` hypotheses of the convex bounds.
+
+    Strong mode grows the penalty every sweep and each ``gamma-safeguard``
+    event grows a diagonal weight of ``M``; either changes the norms that
+    the energy is measured in, so the bounds do not apply.
+    """
+    if report.params.mode == "strong":
+        raise ConfigError("%s check needs a fixed-penalty run, not strong mode" % check)
+    if any(ev["event"] == "gamma-safeguard" for ev in report.events):
+        raise ConfigError("%s check needs fixed weights, but the gamma safeguard "
+                          "changed them" % check)
+
+
 def decay_rows(report, slack=1e-8):
     """Per-sweep energy decay rows for a run with a recorded reference.
 
     Checks ``E_k - E_{k+1} >= alpha (2 D_k + sigma R_k
     + rho (1 - alpha) (||y - z||_Q^2 + ||A z - b||^2))`` with slack
     ``slack * (1 + E_k)`` for every recorded ``k`` except the last.
-    Requires a fixed-penalty run.
+    A strong-mode run or one with a ``gamma-safeguard`` event raises
+    :class:`ConfigError`: the bound needs a fixed penalty and fixed weights.
     """
+    _require_fixed_weights(report, "decay")
     h = report.history
     E = h.E
     if E is None or np.any(~np.isfinite(E)):
@@ -199,7 +215,11 @@ def decay_rows(report, slack=1e-8):
 
 
 def ergodic_rows(report, slack=1e-8):
-    """Averaged-gap rows: ``gap(zbar_t) <= E_1 / (2 alpha t) + slack``."""
+    """Averaged-gap rows: ``gap(zbar_t) <= E_1 / (2 alpha t) + slack``.
+
+    Like :func:`decay_rows`, refuses strong-mode and safeguarded runs.
+    """
+    _require_fixed_weights(report, "ergodic")
     h = report.history
     if h.erg_gap is None or h.E is None:
         raise ConfigError("ergodic check needs a reference-tracked run")

@@ -245,11 +245,13 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
 
     def trial(delta, alpha):
         # prox step of the linearized subproblem at ``a_bar``; only the
-        # adaptive rule needs the descent test
-        a_bar = (1.0 - alpha) * a_prev + alpha * u_prev
+        # adaptive rule needs the descent test.  Scalar products are written
+        # array-first, which dispatches faster and is bitwise the same.
+        a_keep = a_prev * (1.0 - alpha)
+        a_bar = a_keep + u_prev * alpha
         f_bar, g = value_grad(a_bar)
         scale = delta + rg
-        u = prox((delta * u_prev + ry - g - rw) / scale, 1.0 / scale)
+        u = prox((u_prev * delta + ry - g - rw) / scale, 1.0 / scale)
         d = u - u_prev
         dsq = float(d.dot(d))
         # a non-finite entry of ``u`` makes ``dsq`` non-finite, so the
@@ -257,7 +259,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         if not math.isfinite(dsq) and not np.isfinite(u).all():
             raise NumericError("prox step produced non-finite values",
                                context={"routine": "run_inner"})
-        a = (1.0 - alpha) * a_prev + alpha * u
+        a = a_keep + u * alpha
         ok = not adaptive or line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, g)
         return ok, (u, a, dsq)
 

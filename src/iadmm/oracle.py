@@ -1,13 +1,17 @@
 """Independent reference solvers used to certify solutions and subproblems.
 
 Everything here is deliberately simple and dense: direct KKT solves for
-equality-constrained quadratic programs and, for block subproblems, one
+equality-constrained quadratic programs and, for block subproblems, a
+closed-form prox when the smooth term has a zero Lipschitz bound, one
 dense system ``lhs u = rhs`` of a quadratic block, solved directly when
-the block has no nonsmooth term and otherwise iterated by a plain
-(non-accelerated) proximal-gradient loop with the step ``2 / (L + mu)``
-of an ``L``-smooth, ``mu``-strongly convex objective.  These paths share
-no iteration logic with the solver modules, so agreement between the two
-is meaningful evidence.
+the block has no nonsmooth term, and otherwise a (non-accelerated)
+proximal-gradient loop with the step ``2 / (L + mu)`` of an
+``L``-smooth, ``mu``-strongly convex objective and one prox call per
+step.  On the dense system that loop also tries one direct solve on the
+face the steps have settled on.  Every answer of the loop carries a
+bound on its unit-step prox residual.  These paths share no iteration
+logic with the solver modules, so agreement between the two is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -77,20 +81,43 @@ def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i, tol=1e-12):
     + (rho/2) (u - y_i)^T (gamma_i I - A^T A) (u - y_i)``.  The two
     penalty terms have combined Hessian exactly ``rg I`` with
     ``rg = rho * gamma_i``, so their gradient is ``rw + rg (u - y_i)``
-    with the constant ``rw = rho * w_pen``.  A block with an explicit
-    Hessian ``H`` and linear term ``c`` builds the smooth part's gradient
-    once as ``lhs u - rhs`` with ``lhs = H + rg I`` and
-    ``rhs = rg y_i - c - rw``; without a nonsmooth term it returns
-    ``np.linalg.solve(lhs, rhs)``.  Everything else runs plain proximal
-    gradient with step ``2 / (zeta + mu + 2 rg)`` (``zeta`` from
-    :func:`lipschitz_bound`, ``mu`` the smooth term's modulus; ``1 / rg``
-    for a zero smooth term) until the unit-step prox residual falls
-    below ``tol`` (within a million steps).
+    with the constant ``rw = rho * w_pen``.
+
+    - A smooth term with a zero Lipschitz bound is affine with constant
+      gradient ``c0``, and the minimizer is the closed form
+      ``prox(y_i - (rw + c0) / rg, 1 / rg)``.
+    - A block with an explicit Hessian ``H`` and linear term ``c`` builds
+      the smooth part's gradient once as ``lhs u - rhs`` with
+      ``lhs = H + rg I`` and ``rhs = rg y_i - c - rw``; without a
+      nonsmooth term it returns ``np.linalg.solve(lhs, rhs)``.
+    - Everything else runs proximal gradient with step
+      ``tau = 2 / (zeta + mu + 2 rg)`` (``zeta`` from
+      :func:`lipschitz_bound`, ``mu`` the smooth term's modulus), one
+      prox call ``u_new = prox(u - tau g, tau)`` per step.  It returns
+      ``u`` once ``||u - u_new|| / min(tau, 1) <= tol``, which bounds the
+      unit-step prox residual ``||u - prox(u - g, 1)||`` because the
+      prox-gradient map is monotone in its step (Beck, *First-Order
+      Methods in Optimization*, Thm 10.9).
+    - On the dense path, once two consecutive steps leave the same
+      zero pattern, :func:`_polish` solves the system on the nonzero
+      face once; its point is returned if its own certified residual is
+      within ``tol``, else the steps go on, and the polish is not tried
+      again until the pattern changes.
+
+    A step whose output is not finite raises :class:`NumericError`, as
+    does a loop that has not reached ``tol`` within a million steps.
     """
     smooth, nonsmooth, op = block.smooth, block.nonsmooth, block.op
     y_i = np.asarray(y_i, dtype=np.float64).reshape(-1)
     rg = rho * gamma_i
     rw = rho * op.adjoint(op.apply(y_i) - b_i + lam / rho)
+    prox = nonsmooth.prox
+
+    if smooth.is_zero:
+        u = prox(y_i - (rw + smooth.grad(y_i)) / rg, 1.0 / rg)
+        if not math.isfinite(u.dot(u)) and not np.isfinite(u).all():
+            raise _non_finite()
+        return u
 
     dense = smooth.hessian is not None and smooth.linear is not None
     if dense:
@@ -100,23 +127,53 @@ def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i, tol=1e-12):
             return np.linalg.solve(lhs, rhs)
 
     tau = 2.0 / (lipschitz_bound(smooth) + smooth.modulus + 2.0 * rg)
-    prox = nonsmooth.prox
+    scale = min(tau, 1.0)
     u = y_i.copy()
+    pattern = tried = None
     for _ in range(10 ** 6):
         g = lhs.dot(u) - rhs if dense else smooth.grad(u) + rw + rg * (u - y_i)
-        d = u - prox(u - g, 1.0)
-        res = math.sqrt(d.dot(d))
+        v = u - tau * g
+        u_new = prox(v, tau)
+        d = u - u_new
+        res = math.sqrt(d.dot(d)) / scale
         if res <= tol:
             return u
         # a non-finite entry of ``u`` or of the prox output makes ``d`` and
         # ``res`` non-finite, so the array test only runs on that cold path;
         # a finite ``d`` whose square overflows passes, as in ``run_inner``
         if not math.isfinite(res) and not np.isfinite(d).all():
-            raise NumericError("subproblem oracle produced non-finite values",
-                               context={"routine": "subproblem_minimizer"})
-        u = prox(u - tau * g, tau)
+            raise _non_finite()
+        if dense:
+            last, pattern = pattern, (u_new != 0.0).tobytes()
+            if pattern == last and pattern != tried:
+                tried = pattern
+                p = _polish(lhs, rhs, tau, v, u_new)
+                d = p - prox(p - tau * (lhs.dot(p) - rhs), tau)
+                if math.sqrt(d.dot(d)) / scale <= tol:
+                    return p
+        u = u_new
     raise NumericError(
         "subproblem oracle did not reach tolerance %.1e" % tol,
         context={"routine": "subproblem_minimizer"},
         best=u,
     )
+
+
+def _non_finite():
+    return NumericError("subproblem oracle produced non-finite values",
+                        context={"routine": "subproblem_minimizer"})
+
+
+def _polish(lhs, rhs, tau, v, u_new):
+    """Candidate minimizer on the face of ``u_new = prox(v, tau)``.
+
+    Holds the prox offset ``s = (v - u_new) / tau`` fixed on the nonzero
+    coordinates ``F`` of ``u_new`` and solves ``lhs[F, F] p_F = rhs[F] -
+    s[F]`` with ``p`` zero off ``F``.  For a prox that acts on its face as
+    a translation (soft thresholding) and a correct face, ``p`` is the
+    exact minimizer; the caller certifies it either way.
+    """
+    F = np.flatnonzero(u_new)
+    p = np.zeros(u_new.size)
+    p[F] = np.linalg.solve(lhs[F][:, F], rhs[F] - (v[F] - u_new[F]) / tau)
+    return p

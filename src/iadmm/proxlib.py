@@ -66,7 +66,11 @@ def soft_threshold(y, t):
     """Shrink each entry of ``y`` toward zero by ``t`` (prox of ``t * l1``)."""
     if t < 0:
         raise ConfigError("threshold must be nonnegative")
-    y = np.asarray(y, dtype=np.float64)
+    return _shrink(np.asarray(y, dtype=np.float64), t)
+
+
+def _shrink(y, t):
+    # the soft-thresholding kernel, unchecked: ``l1_prox`` calls it per step
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
@@ -114,15 +118,16 @@ def quadratic(H, c, modulus=0.0):
     H = 0.5 * (H + H.T)
     lip = float(np.max(np.abs(np.linalg.eigvalsh(H)))) if H.size else 0.0
 
+    # scalar arithmetic on Python floats: cheaper than on numpy scalars, same bits
     def value(x):
-        return float(0.5 * H.dot(x).dot(x) + c.dot(x))
+        return 0.5 * float(H.dot(x).dot(x)) + float(c.dot(x))
 
     def grad(x):
         return H.dot(x) + c
 
     def value_grad(x):
         Hx = H.dot(x)
-        return float(0.5 * Hx.dot(x) + c.dot(x)), Hx + c
+        return 0.5 * float(Hx.dot(x)) + float(c.dot(x)), Hx + c
 
     return SmoothTerm(value=value, grad=grad, lipschitz=lip,
                       modulus=float(modulus), hessian=H, linear=c.copy(),
@@ -182,8 +187,8 @@ def l1_prox(weight):
     if weight < 0:
         raise ConfigError("l1 weight must be nonnegative")
     return ProxTerm(
-        value=lambda y: weight * float(np.sum(np.abs(y))),
-        prox=lambda y, tau: soft_threshold(y, weight * tau),
+        value=lambda y: weight * float(np.abs(y).sum()),
+        prox=lambda y, tau: _shrink(y, weight * tau),
     )
 
 

@@ -295,6 +295,21 @@ def test_ergodic_rows_on_tracked_run():
     assert all(r.passed for r in rows)
 
 
+def test_decay_and_ergodic_rows_refuse_runs_outside_their_hypotheses():
+    # safeguard bumps change M mid-run; the decay rows of this run read
+    # false FAILs at sweeps 1 and 44 when they are not refused
+    entry = gen_qp(11, m=2)
+    params = SolverParams(alpha=0.5, gamma_mode="safeguard", gamma_init=0.1,
+                          tol=0.0, max_outer=60)
+    bumped = solve(entry.problem, params, ref=entry.reference)
+    assert any(ev["event"] == "gamma-safeguard" for ev in bumped.events)
+    strong = _tracked_run(mu=0.5, mode="strong", iters=20)
+    for report, reason in ((bumped, "gamma safeguard"), (strong, "strong mode")):
+        for rows in (decay_rows, ergodic_rows):
+            with pytest.raises(ConfigError, match=reason):
+                rows(report)
+
+
 def test_strong_rows_on_tracked_run():
     report = _tracked_run(mu=0.5, mode="strong")
     rows = strong_rows(report)

@@ -6,16 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+import iadmm.oracle
 import iadmm.outer
 from iadmm.blockspace import BlockVector, DenseMap
 from iadmm.diagnostics import ReferencePair
-from iadmm.errors import CertificationError, ConfigError
+from iadmm.errors import CertificationError, ConfigError, NumericError
 from iadmm.inner import InnerConfig, run_inner
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.problem import Block, ProblemSpec
 from iadmm.problems import gen_lasso, gen_qp
-from iadmm.proxlib import (SmoothTerm, group_l2_prox, l1_prox, quadratic, soft_threshold,
-                           zero_prox)
+from iadmm.proxlib import (ProxTerm, SmoothTerm, group_l2_prox, l1_prox, quadratic,
+                           soft_threshold, zero_prox, zero_smooth)
 
 
 def _hand_qp():
@@ -90,8 +91,13 @@ def _subproblem_inputs(seed, weight=0.2, group=False):
 
 
 def _blind(blk):
-    """The block with its Hessian hidden, which forces the oracle onto the operator path."""
-    return Block(dataclasses.replace(blk.smooth, hessian=None, linear=None),
+    """The block with its Hessian hidden, which forces the oracle onto the operator path.
+
+    A zero Lipschitz bound is raised to 1, still a valid bound, so a zero
+    smooth term also takes the stepping loop instead of its closed form.
+    """
+    lip = blk.smooth.lipschitz if blk.smooth.lipschitz != 0.0 else 1.0
+    return Block(dataclasses.replace(blk.smooth, hessian=None, linear=None, lipschitz=lip),
                  blk.nonsmooth, blk.op)
 
 
@@ -138,6 +144,76 @@ def test_dense_path_matches_operator_path(seed, group):
         assert _unit_step_residual(blk, u, y_i, lam, b_i, rho, gamma_i) <= 1e-13
 
 
+def _recording_polish(monkeypatch):
+    """Record every point ``_polish`` proposes."""
+    proposed = []
+    real = iadmm.oracle._polish
+
+    def polish(*args):
+        proposed.append(real(*args))
+        return proposed[-1]
+
+    monkeypatch.setattr(iadmm.oracle, "_polish", polish)
+    return proposed
+
+
+def test_zero_smooth_block_is_closed_form():
+    # one prox call, and the same point the stepping loop reaches
+    _, y_i, lam, b_i = _subproblem_inputs(79)
+    rng = np.random.default_rng(79)
+    calls = []
+
+    def prox(y, tau):
+        calls.append(1)
+        return l1_prox(1.0).prox(y, tau)
+
+    blk = Block(zero_smooth(), ProxTerm(l1_prox(1.0).value, prox),
+                DenseMap(rng.standard_normal((6, 5)) / np.sqrt(5)))
+    rho, gamma_i, tol = 1.3, 2.2, 1e-13
+    closed = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i, tol=tol)
+    assert len(calls) == 1
+    stepped = subproblem_minimizer(_blind(blk), y_i, lam, b_i, rho, gamma_i, tol=tol)
+    assert len(calls) > 2
+    assert np.linalg.norm(closed - stepped) <= 1e-12
+    assert 0 < np.count_nonzero(closed) < closed.size
+    assert _unit_step_residual(blk, closed, y_i, lam, b_i, rho, gamma_i) <= tol
+
+
+def test_zero_smooth_closed_form_rejects_a_non_finite_prox():
+    _, y_i, lam, b_i = _subproblem_inputs(79)
+    blk = Block(zero_smooth(), ProxTerm(l1_prox(1.0).value, lambda y, tau: y * np.nan),
+                DenseMap(np.ones((6, 5))))
+    with pytest.raises(NumericError, match="non-finite values"):
+        subproblem_minimizer(blk, y_i, lam, b_i, 1.3, 2.2)
+
+
+def test_dense_l1_block_returns_the_polished_point(monkeypatch):
+    # seed 78's minimizer has a zero entry, so the face is a proper one
+    proposed = _recording_polish(monkeypatch)
+    blk, y_i, lam, b_i = _subproblem_inputs(78, weight=0.3)
+    rho, gamma_i, tol = 1.3, 2.2, 1e-13
+    got = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i, tol=tol)
+    assert len(proposed) == 1 and got is proposed[0]
+    assert 0 < np.count_nonzero(got) < got.size
+    blind = subproblem_minimizer(_blind(blk), y_i, lam, b_i, rho, gamma_i, tol=tol)
+    assert np.linalg.norm(got - blind) <= 1e-12
+    assert _unit_step_residual(blk, got, y_i, lam, b_i, rho, gamma_i) <= tol
+
+
+def test_dense_group_block_whose_polish_fails_still_certifies(monkeypatch):
+    # group shrinkage is no translation on its face, so the one polish
+    # misses tol; the steps go on to a certified point without a retry
+    proposed = _recording_polish(monkeypatch)
+    blk, y_i, lam, b_i = _subproblem_inputs(76, weight=0.3, group=True)
+    rho, gamma_i, tol = 1.3, 2.2, 1e-13
+    got = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i, tol=tol)
+    assert len(proposed) == 1
+    assert _unit_step_residual(blk, proposed[0], y_i, lam, b_i, rho, gamma_i) > tol
+    assert _unit_step_residual(blk, got, y_i, lam, b_i, rho, gamma_i) <= tol
+    blind = subproblem_minimizer(_blind(blk), y_i, lam, b_i, rho, gamma_i, tol=tol)
+    assert np.linalg.norm(got - blind) <= 1e-12
+
+
 def _no_bound_block():
     # 0.5 u^T (3 I) u + 2 * 1^T u with its curvature withheld
     quad = quadratic(3.0 * np.eye(3), 2.0 * np.ones(3))
@@ -166,9 +242,11 @@ def test_exact_solve_rejects_a_block_without_curvature_bound_before_sweep_1(monk
     assert oracle_calls == []
 
 
-# block-0 prox calls of gen_lasso(1)'s exact-mode reference run (528
-# sweeps) with the oracle's 2 / (L + mu) step; the 1 / L step took 24,730
-LASSO_1_BLOCK_0_PROX_CALLS = 15_552
+# block-0 prox calls of gen_lasso(1)'s exact-mode reference run (527
+# sweeps): about three per subproblem, two steps and the certificate of
+# the face polish.  Two prox calls per step without the polish took
+# 15,552 (528 sweeps), and 24,730 with the 1 / L step.
+LASSO_1_BLOCK_0_PROX_CALLS = 1_582
 
 
 def test_lasso_reference_run_oracle_work_is_pinned(monkeypatch):
@@ -191,7 +269,7 @@ def test_lasso_reference_run_oracle_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(iadmm.outer, "solve", counting_solve)
     gen_lasso(1)
-    assert counts == [("exact", 528, LASSO_1_BLOCK_0_PROX_CALLS)]
+    assert counts == [("exact", 527, LASSO_1_BLOCK_0_PROX_CALLS)]
 
 
 def test_subproblem_minimizer_stationarity_with_l1():

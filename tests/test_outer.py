@@ -204,8 +204,8 @@ def _spoiled_exact_problem(first_bad_call, last_bad_call=np.inf, bad=np.nan):
 
 def test_exact_mode_numeric_error_names_sweep_and_block():
     # the oracle calls of sweep 1 pass; from the third call of sweep 2 on
-    # the prox returns nan, the next update carries it into the iterate,
-    # and the oracle's error names the sweep and the block that made it
+    # the prox returns nan, and the oracle's error names the sweep and the
+    # block that made it
     problem, calls = _spoiled_exact_problem(np.inf)
     solve(problem, SolverParams(mode="exact", tol=0.0, max_outer=1))
     problem, _ = _spoiled_exact_problem(len(calls) + 3)
@@ -217,9 +217,10 @@ def test_exact_mode_numeric_error_names_sweep_and_block():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_exact_mode_nan_residual_raises_and_overflow_passes():
-    # the first prox call of sweep 2's block-1 oracle forms the residual
-    # only; a nan there never reaches the iterate but still fails the
-    # solve, while a finite residual whose square overflows does not
+    # the first prox call of sweep 2's block-1 oracle is its first step,
+    # whose output forms the residual; a nan there fails the solve before
+    # it reaches an iterate, while a finite residual whose square
+    # overflows does not
     problem, calls = _spoiled_exact_problem(np.inf)
     solve(problem, SolverParams(mode="exact", tol=0.0, max_outer=1))
     first = len(calls) + 1
