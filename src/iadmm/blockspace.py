@@ -9,11 +9,12 @@ spectral-norm estimation.
 
 ``M`` has diagonal blocks ``gamma_i * I`` and subdiagonal blocks
 ``A_i^T A_j`` (j < i).  The solver never forms it densely: products with
-``M`` and ``M^T``, the solve against ``M^T``, and norms in the induced
-metric ``P = M Q^{-1} M^T`` (with ``Q = diag(gamma_i I)``) are all
-evaluated block by block with ``O(m)`` operator applications.  Its one
-dense assembly, ``BlockTriangular.to_dense``, serves desk-scale
-generators and checks.
+``M`` and ``M^T`` and the solve against ``M^T`` take ``O(m)`` operator
+applications.  Its one dense assembly, ``BlockTriangular.to_dense``, serves
+desk-scale generators and checks.  The spectral norms of the induced metric
+``P = M Q^{-1} M^T`` (``Q = diag(gamma_i I)``) and of ``Q^{-1/2} P Q^{-1/2}``
+are squared norms of the factor ``Q^{-1/2} M^T S`` (``S = I`` or
+``Q^{-1/2}``), since ``||B^T B|| = ||B||^2``; power iteration runs on it.
 """
 
 from __future__ import annotations
@@ -33,42 +34,41 @@ def _vec(v):
 
 
 class BlockVector:
-    """A real vector partitioned into ``m`` dense blocks."""
+    """A real vector partitioned into ``m`` dense blocks; ``dims`` is fixed when built."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "dims")
 
     def __init__(self, blocks):
         self.blocks = [np.array(b, dtype=np.float64).reshape(-1) for b in blocks]
+        self.dims = tuple(b.size for b in self.blocks)
 
     @classmethod
-    def _wrap(cls, blocks):
+    def _wrap(cls, blocks, dims):
         # internal constructor that trusts and does not copy its inputs
         bv = object.__new__(cls)
         bv.blocks = list(blocks)
+        bv.dims = dims
         return bv
 
     @classmethod
     def zeros(cls, dims):
-        return cls._wrap([np.zeros(int(d)) for d in dims])
+        dims = tuple(int(d) for d in dims)
+        return cls._wrap([np.zeros(d) for d in dims], dims)
 
     @classmethod
     def from_flat(cls, flat, dims):
         flat = _vec(flat)
-        dims = [int(d) for d in dims]
+        dims = tuple(int(d) for d in dims)
         if flat.size != sum(dims):
             raise StructuralError("flat vector of size %d cannot be split into %s" % (flat.size, dims))
         out, k = [], 0
         for d in dims:
             out.append(flat[k:k + d].copy())
             k += d
-        return cls._wrap(out)
-
-    @property
-    def dims(self):
-        return tuple(b.size for b in self.blocks)
+        return cls._wrap(out, dims)
 
     def copy(self):
-        return BlockVector._wrap([b.copy() for b in self.blocks])
+        return BlockVector._wrap([b.copy() for b in self.blocks], self.dims)
 
     def to_flat(self):
         return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
@@ -85,15 +85,15 @@ class BlockVector:
 
     def __add__(self, other):
         self._check_like(other)
-        return BlockVector._wrap([a + b for a, b in zip(self.blocks, other.blocks)])
+        return BlockVector._wrap([a + b for a, b in zip(self.blocks, other.blocks)], self.dims)
 
     def __sub__(self, other):
         self._check_like(other)
-        return BlockVector._wrap([a - b for a, b in zip(self.blocks, other.blocks)])
+        return BlockVector._wrap([a - b for a, b in zip(self.blocks, other.blocks)], self.dims)
 
     def __mul__(self, c):
         c = float(c)
-        return BlockVector._wrap([c * b for b in self.blocks])
+        return BlockVector._wrap([c * b for b in self.blocks], self.dims)
 
     __rmul__ = __mul__
 
@@ -105,8 +105,9 @@ class LinearMap:
     """Abstract linear operator with an exact adjoint.
 
     Subclasses set ``rows``/``cols`` and implement ``apply`` (forward
-    product) and ``adjoint`` (transpose product).  ``to_dense`` is a
-    generic fallback used by desk-scale oracles and tests.
+    product) and ``adjoint`` (transpose product).  ``to_dense`` assembles
+    the matrix one ``apply`` per column, for desk-scale oracles, generators
+    and checks; only ``DenseMap`` overrides it, with a copy of its matrix.
     """
 
     kind = "abstract"
@@ -188,9 +189,6 @@ class ScaledIdentity(LinearMap):
     def adjoint(self, w):
         return self.scale * self._check_out(w)
 
-    def to_dense(self):
-        return self.scale * np.eye(self.rows)
-
 
 class ZeroMap(LinearMap):
     """The all-zero operator."""
@@ -209,9 +207,6 @@ class ZeroMap(LinearMap):
     def adjoint(self, w):
         self._check_out(w)
         return np.zeros(self.cols)
-
-    def to_dense(self):
-        return np.zeros((self.rows, self.cols))
 
 
 class Grad2D(LinearMap):
@@ -337,21 +332,6 @@ class VStack(LinearMap):
         return out
 
 
-class _SymmetricCallable(LinearMap):
-    """Wrap a self-adjoint callable on R^n as a LinearMap (for norms)."""
-
-    kind = "symmetric-callable"
-
-    def __init__(self, fn, n):
-        self.fn = fn
-        self.rows = self.cols = int(n)
-
-    def apply(self, x):
-        return self.fn(self._check_in(x))
-
-    adjoint = apply
-
-
 def spectral_norm(op, tol=1e-8, max_iters=10000):
     """Largest singular value of ``op`` by power iteration on ``op^T op``.
 
@@ -365,10 +345,7 @@ def spectral_norm(op, tol=1e-8, max_iters=10000):
         return 0.0
     rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(op.cols)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
+    v /= np.linalg.norm(v)
     lam = 0.0
     for it in range(max_iters):
         w = op.adjoint(op.apply(v))
@@ -410,8 +387,6 @@ class BlockTriangular:
         self.ops = ops
         self.dims = tuple(op.cols for op in ops)
         self.rhs_dim = ops[0].rows if ops else 0
-        self._p_norm = None
-        self._scaled_p_norm = None
 
     @property
     def m(self):
@@ -441,7 +416,7 @@ class BlockTriangular:
             op, di = self.ops[i], d.blocks[i]
             out[i] = self.gammas[i] * di + op.adjoint(suffix)
             suffix = suffix + op.apply(di)
-        return BlockVector._wrap(out)
+        return BlockVector._wrap(out, self.dims)
 
     def apply_m(self, d):
         """Product ``M d`` (block lower triangular)."""
@@ -452,7 +427,7 @@ class BlockTriangular:
             op, di = self.ops[i], d.blocks[i]
             out[i] = self.gammas[i] * di + op.adjoint(prefix)
             prefix = prefix + op.apply(di)
-        return BlockVector._wrap(out)
+        return BlockVector._wrap(out, self.dims)
 
     def back_substitute(self, y, z, alpha):
         """Solve ``M^T (y_new - y) = alpha Q (z - y)`` for ``y_new``.
@@ -473,7 +448,7 @@ class BlockTriangular:
             if i:
                 # block 0's contribution to the suffix would never be read
                 suffix = suffix + op.apply(di)
-        return BlockVector._wrap([yi + di for yi, di in zip(y.blocks, d)])
+        return BlockVector._wrap([yi + di for yi, di in zip(y.blocks, d)], self.dims)
 
     def p_norm_sq(self, x):
         """Squared norm ``x^T P x`` with ``P = M Q^{-1} M^T``."""
@@ -485,36 +460,37 @@ class BlockTriangular:
         self._check(x)
         return float(sum(g * (b @ b) for g, b in zip(self.gammas, x.blocks)))
 
-    def apply_p(self, x):
-        """Product ``P x = M Q^{-1} M^T x``."""
-        t = self.apply_mt(x)
-        t = BlockVector._wrap([b / g for b, g in zip(t.blocks, self.gammas)])
-        return self.apply_m(t)
-
-    def apply_scaled_p(self, x):
-        """Product ``Q^{-1/2} P Q^{-1/2} x``."""
-        self._check(x)
-        rg = [np.sqrt(g) for g in self.gammas]
-        t = BlockVector._wrap([b / r for b, r in zip(x.blocks, rg)])
-        t = self.apply_p(t)
-        return BlockVector._wrap([b / r for b, r in zip(t.blocks, rg)])
-
-    def _flat_sym_norm(self, block_fn):
-        dims = self.dims
-
-        def fn(flat):
-            return block_fn(BlockVector.from_flat(flat, dims)).to_flat()
-
-        return spectral_norm(_SymmetricCallable(fn, sum(dims)))
-
     def p_norm(self):
-        """Spectral norm of ``P`` (cached)."""
-        if self._p_norm is None:
-            self._p_norm = self._flat_sym_norm(self.apply_p)
-        return self._p_norm
+        """Spectral norm of ``P``, which is ``B^T B`` for ``B = Q^{-1/2} M^T``: ``||B||^2``."""
+        return spectral_norm(_MetricFactor(self, scaled=False)) ** 2
 
     def scaled_p_norm(self):
-        """Spectral norm of ``Q^{-1/2} P Q^{-1/2}`` (cached)."""
-        if self._scaled_p_norm is None:
-            self._scaled_p_norm = self._flat_sym_norm(self.apply_scaled_p)
-        return self._scaled_p_norm
+        """Spectral norm of ``Q^{-1/2} P Q^{-1/2}``.
+
+        That matrix is ``B^T B`` for ``B = Q^{-1/2} M^T Q^{-1/2}``, so its norm is ``||B||^2``.
+        """
+        return spectral_norm(_MetricFactor(self, scaled=True)) ** 2
+
+
+class _MetricFactor(LinearMap):
+    """``B = Q^{-1/2} M^T S`` of a :class:`BlockTriangular` on flat vectors.
+
+    ``S`` is ``I``, or ``Q^{-1/2}`` when ``scaled``; ``B^T B = S P S``.
+    """
+
+    kind = "metric-factor"
+
+    def __init__(self, M, scaled):
+        self.M = M
+        self.rows = self.cols = sum(M.dims)
+        self.q_isqrt = np.concatenate([np.full(d, 1.0 / np.sqrt(g))
+                                       for d, g in zip(M.dims, M.gammas)])
+        self.s = self.q_isqrt if scaled else 1.0
+
+    def apply(self, x):
+        x = BlockVector.from_flat(self.s * self._check_in(x), self.M.dims)
+        return self.q_isqrt * self.M.apply_mt(x).to_flat()
+
+    def adjoint(self, w):
+        w = BlockVector.from_flat(self.q_isqrt * self._check_out(w), self.M.dims)
+        return self.s * self.M.apply_m(w).to_flat()

@@ -41,8 +41,8 @@ def kkt_error(x, lam, problem):
 class ReferencePair:
     """A primal-dual solution pair certified at construction.
 
-    Construction fails with :class:`CertificationError` unless the KKT
-    error is at most ``1e-9``.
+    Construction fails with :class:`CertificationError`, naming the
+    candidate's ``source``, unless the KKT error is at most ``1e-9``.
     """
 
     def __init__(self, problem, x_star, lam_star, source="unknown"):
@@ -57,7 +57,6 @@ class ReferencePair:
             )
         self.x_star = x_star.copy()
         self.lam_star = lam_star.copy()
-        self.source = source
         self.kkt = err
         self.objective = problem.objective(self.x_star)
 

@@ -302,8 +302,8 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
             r_vals[i] = res.r
             c_full = c_full - ay[i] + ops[i].apply(res.z)
 
-        z = BlockVector._wrap(z_blocks)
-        x_next = BlockVector._wrap(x_blocks)
+        z = BlockVector._wrap(z_blocks, dims)
+        x_next = BlockVector._wrap(x_blocks, dims)
         Gamma = Gamma_new
         residual = c_full - problem.b
         feas = float(np.linalg.norm(residual))

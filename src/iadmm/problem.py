@@ -44,14 +44,11 @@ class ProblemSpec:
             raise StructuralError("b has non-finite entries")
         self.blocks = blocks
         self.b = b
+        self.dims = tuple(blk.dim for blk in blocks)
 
     @property
     def m(self):
         return len(self.blocks)
-
-    @property
-    def dims(self):
-        return tuple(blk.dim for blk in self.blocks)
 
     @property
     def n(self):

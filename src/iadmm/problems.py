@@ -13,14 +13,12 @@ with a separable truncated-Gaussian blur ``F``, forward differences
 ``B``, and an orthonormal multi-level Haar transform ``Psi^T``.
 
 All generators are pure functions of their seed: regenerating an entry
-is bit-identical, which the fingerprint helper makes checkable.  Entries
-are addressable by id strings (``qp-<seed>-m<m>[-mu<value>]``,
-``lasso-<seed>``, ``img-<seed>-s<side>``).
+is bit-identical.  Entries are addressable by id strings
+(``qp-<seed>-m<m>[-mu<value>]``, ``lasso-<seed>``, ``img-<seed>-s<side>``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
@@ -51,14 +49,6 @@ class CorpusEntry:
     tags: frozenset = frozenset()
     data: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-
-    def fingerprint(self):
-        """SHA-256 over the raw generated arrays (regeneration-stable)."""
-        h = hashlib.sha256()
-        for key in sorted(self.data):
-            h.update(key.encode())
-            h.update(np.ascontiguousarray(self.data[key], dtype=np.float64).tobytes())
-        return h.hexdigest()
 
 
 class SeparableBlur(LinearMap):
@@ -92,9 +82,6 @@ class SeparableBlur(LinearMap):
 
     # symmetric kernel with zero padding makes the operator self-adjoint
     adjoint = apply
-
-    def to_dense(self):
-        return np.kron(self.T, self.T)
 
 
 def _rng(seed, attempt=0):

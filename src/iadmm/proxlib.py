@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blockspace import LinearMap
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, StructuralError, check_count
 
 
 @dataclass
@@ -184,8 +184,8 @@ def zero_prox():
 def l1_prox(weight):
     """``weight * ||.||_1`` with soft-thresholding prox."""
     weight = float(weight)
-    if weight < 0:
-        raise ConfigError("l1 weight must be nonnegative")
+    if not 0.0 <= weight < np.inf:
+        raise ConfigError("l1 weight must be finite and nonnegative, got %r" % weight)
     return ProxTerm(
         value=lambda y: weight * float(np.abs(y).sum()),
         prox=lambda y, tau: _shrink(y, weight * tau),
@@ -195,8 +195,9 @@ def l1_prox(weight):
 def group_l2_prox(weight, size):
     """``weight`` times the summed norms of consecutive ``size``-entry groups; prox by shrinkage."""
     weight = float(weight)
-    if weight < 0:
-        raise ConfigError("group weight must be nonnegative")
+    if not 0.0 <= weight < np.inf:
+        raise ConfigError("group weight must be finite and nonnegative, got %r" % weight)
+    check_count("group size", size)
 
     def value(y):
         g = np.asarray(y, dtype=np.float64).reshape(-1, size)

@@ -77,3 +77,35 @@ def test_tracer_labels_imaging_maps_and_proxes():
                   "blockspace.adjoint.orthonormal-wavelet", "proxlib.prox.group",
                   "proxlib.prox.l1"):
         assert label in seen, label
+
+
+def test_tracer_covers_the_strong_mode_norm_path():
+    # the growing-penalty schedule runs power iteration on the metric
+    # factor of M, whose products go through the block operators
+    entry = from_id("qp-2-m2-mu0.5")
+    tracer = _load_spans().Tracer()
+    tracer.patch_modules(iadmm)
+    tracer.patch_instances([entry.problem])
+    tracer.install()
+    try:
+        report = solve(entry.problem, SolverParams(mode="strong", alpha=0.5, tol=0.0,
+                                                   max_outer=5))
+    finally:
+        tracer.uninstall()
+
+    assert report.iterations == 5 and report.theta > 0.0
+    labels = [tracer.labels[i] for i in tracer.name]
+    kids = {k: set() for k, lab in enumerate(labels) if lab == "blockspace.spectral_norm"}
+    for lab, p in zip(labels, tracer.parent):
+        if p in kids:
+            kids[p].add(lab)
+    # one norm per block for the power-mode weights, then ||P|| and the
+    # scaled norm for (theta, k0)
+    assert len(kids) == entry.problem.m + 2
+    for seen in kids.values():
+        assert seen and all(lab.startswith(("blockspace.apply.", "blockspace.adjoint."))
+                            for lab in seen), seen
+    factor = {"blockspace.apply.metric-factor", "blockspace.adjoint.metric-factor"}
+    assert sum(seen == factor for seen in kids.values()) == 2
+    for owner, attr, orig, _ in tracer._patches:
+        assert _current(owner, attr) is orig, (owner, attr)

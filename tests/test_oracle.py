@@ -312,7 +312,6 @@ def test_certify_reference_accepts_and_rejects():
     entry = gen_qp(74, m=2)
     problem, ref = entry.problem, entry.reference
     ok = ReferencePair(problem, ref.x_star, ref.lam_star, source="round")
-    assert ok.source == "round"
     assert ok.kkt <= 1e-9
     bad = ref.x_star + BlockVector.from_flat(
         np.full(problem.n, 0.1), problem.dims)

@@ -1,5 +1,6 @@
-"""Property tests: prox maps, operator adjoints, back substitution, the subproblem
-oracle's two paths, repeatable solves.
+"""Property tests: prox maps, operator adjoints, back substitution, the metric
+norms of ``M``, the inner loop's step coupling, the subproblem oracle's two
+paths, repeatable solves.
 
 Hypothesis draws the shapes and entries; ``derandomize=True`` fixes the
 examples it draws, so every run checks the same cases.
@@ -16,11 +17,13 @@ from hypothesis.extra import numpy as hnp
 
 from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D, HaarMap,
                               ScaledIdentity, VStack, ZeroMap)
+from iadmm.inner import InnerConfig, run_inner
 from iadmm.oracle import subproblem_minimizer
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block
 from iadmm.problems import SeparableBlur, from_id, gen_qp
 from iadmm.proxlib import group_l2_prox, l1_prox, quadratic, quadratic_smooth, zero_prox
+from iadmm.suites import XI_TOL, _random_subproblem
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -170,6 +173,40 @@ def test_back_substitution_residual_property(dims, rows, alpha, data):
     # rounding grows with the size of the terms that cancel in M^T d
     scale = 1.0 + target.norm() + BlockVector([g * di for g, di in zip(gammas, d.blocks)]).norm()
     assert resid <= 1e-12 * scale
+
+
+@SETTINGS
+@given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=4), rows=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_metric_norms_match_dense_eigenvalues_property(dims, rows, seed, data):
+    # ||P|| and ||Q^{-1/2} P Q^{-1/2}|| from power iteration on one factor;
+    # a Rayleigh quotient of a symmetric matrix never exceeds its top eigenvalue
+    rng = np.random.default_rng(seed)
+    gammas = [10.0 ** data.draw(st.floats(-3.0, 2.0)) for _ in dims]
+    tri = BlockTriangular(gammas, [DenseMap(rng.standard_normal((rows, d))) for d in dims])
+    Md = tri.to_dense()
+    qinv = np.concatenate([np.full(d, 1.0 / g) for d, g in zip(dims, gammas)])
+    P = (Md * qinv) @ Md.T
+    rq = np.sqrt(qinv)
+    for got, want in ((tri.p_norm(), np.linalg.eigvalsh(P)[-1]),
+                      (tri.scaled_p_norm(), np.linalg.eigvalsh(rq[:, None] * P * rq)[-1])):
+        assert got == pytest.approx(want, rel=1e-6)
+        assert got <= want * (1.0 + 1e-12)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), rule=st.sampled_from(["constant", "adaptive"]),
+       rho=st.floats(0.1, 10.0), gamma_i=st.floats(0.1, 10.0))
+def test_step_size_coupling_property(seed, rule, rho, gamma_i):
+    # criterion 1 off its fixtures: delta^l alpha^l gamma^l = 1 at every step
+    rng = np.random.default_rng(seed)
+    blk = _random_subproblem(rng)
+    y_i = rng.standard_normal(blk.dim)
+    x_i = y_i + rng.standard_normal(blk.dim)
+    lam, b_i = rng.standard_normal(blk.op.rows), rng.standard_normal(blk.op.rows)
+    _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, InnerConfig(rule=rule, sigma=0.9),
+                      Gamma_prev=0.0, psi_eps=np.inf, force_iters=30, trace=True)
+    assert np.max(np.abs(np.asarray(tr.xis) - 1.0)) <= XI_TOL
 
 
 def _same_bits(got, want):

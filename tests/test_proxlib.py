@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iadmm.blockspace import DenseMap
-from iadmm.errors import StructuralError
+from iadmm.errors import ConfigError, StructuralError
 from iadmm.proxlib import (
     group_l2_prox,
     group_shrink,
@@ -31,6 +31,22 @@ def test_group_shrink_grid():
     assert out == pytest.approx([0.0, 0.0, 3.0, 4.0])
     with pytest.raises(StructuralError, match="groups of 2"):
         group_shrink(np.ones(5), 1.0, 2)
+
+
+@pytest.mark.parametrize("build, args, field", [
+    (l1_prox, (float("nan"),), "l1 weight"),
+    (l1_prox, (float("inf"),), "l1 weight"),
+    (l1_prox, (-0.1,), "l1 weight"),
+    (group_l2_prox, (float("nan"), 2), "group weight"),
+    (group_l2_prox, (float("inf"), 2), "group weight"),
+    (group_l2_prox, (0.1, 0), "group size"),
+    (group_l2_prox, (0.1, 1.5), "group size"),
+], ids=["l1-nan", "l1-inf", "l1-negative", "group-nan", "group-inf", "group-size-0",
+        "group-size-float"])
+def test_prox_constructors_refuse_bad_input(build, args, field):
+    # refused when built, not when the prox or value is first called
+    with pytest.raises(ConfigError, match=field):
+        build(*args)
 
 
 def test_pair_groups_layout():
