@@ -23,8 +23,8 @@ from .problem import Block, ProblemSpec
 from .problems import (CorpusEntry, SeparableBlur, from_id, gaussian_kernel,
                        gen_imaging, gen_lasso, gen_qp)
 from .proxlib import (ProxTerm, SmoothTerm, group_l2_prox, group_shrink,
-                      l1_prox, quadratic, quadratic_smooth, soft_threshold,
-                      zero_prox, zero_smooth)
+                      l1_prox, quadratic, quadratic_smooth, zero_prox,
+                      zero_smooth)
 from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"

@@ -14,37 +14,28 @@ import json
 import logging
 import sys
 
-from .diagnostics import all_passed, two_step_ratio, write_check_csv
+from .diagnostics import all_passed, write_check_csv
 from .errors import ConfigError, IadmmError
 from .outer import SolverParams, solve
 from .problems import from_id
-from .suites import (
-    ERGODIC_SLOPE,
-    STRONG_SLOPE,
-    SUITES,
-    _floored_fit,
-    run_suite,
-)
-
-log = logging.getLogger(__name__)
+from .suites import SUITES, rate_rows, run_suite
 
 RATE_COLUMNS = ("series", "window_lo", "window_hi", "value", "threshold", "pass")
 
 
 def _add_solver_flags(p):
+    d = SolverParams
     p.add_argument("--problem", required=True, help="corpus id, e.g. qp-1-m2")
-    p.add_argument("--mode", default="convex",
+    p.add_argument("--mode", default=d.mode,
                    choices=["convex", "strong", "exact"])
-    p.add_argument("--rule", default="adaptive",
+    p.add_argument("--rule", default=d.rule,
                    choices=["constant", "adaptive"])
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=d.tol)
     p.add_argument("--max-outer", type=int, default=None,
-                   help="sweep cap (solve: 100000; rates: 2100, or 450 in strong mode)")
-    p.add_argument("--alpha", type=float, default=0.9)
-    p.add_argument("--sigma", type=float, default=0.99)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the manifest; seeds suite randomness")
+                   help="sweep cap (solve: %d; rates: 2100, or 450 in strong mode)" % d.max_outer)
+    p.add_argument("--alpha", type=float, default=d.alpha)
+    p.add_argument("--sigma", type=float, default=d.sigma)
+    p.add_argument("--rho", type=float, default=d.rho)
 
 
 def _params_from_args(args, **overrides):
@@ -101,11 +92,6 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _fit_row(name, ks, vals, window, threshold, floor=0.0):
-    fit, hi = _floored_fit(ks, vals, window[0], window[1], floor)
-    return [name, window[0], hi, fit.slope, threshold, fit.slope <= threshold]
-
-
 def cmd_rates(args):
     mode = args.mode
     if mode == "exact":
@@ -120,23 +106,7 @@ def cmd_rates(args):
         450 if mode == "strong" else 2100)
     params = _params_from_args(args, max_outer=iters)
     report = solve(entry.problem, params, ref=entry.reference)
-    h = report.history
-    rows = []
-    if mode == "strong":
-        rows.append(_fit_row("weighted-gap", h.k, h.w_gap, (20, iters),
-                             STRONG_SLOPE, floor=1e-16))
-        rows.append(_fit_row("y-error-sq", h.k, h.y_err_sq, (20, iters),
-                             STRONG_SLOPE, floor=1e-18))
-    else:
-        rows.append(_fit_row("ergodic-gap", h.k, h.erg_gap,
-                             (50, min(2000, iters)), ERGODIC_SLOPE))
-        if "polyhedral" in entry.tags and h.E is not None:
-            ratios, tail_max = two_step_ratio(h.E, rel_floor=1e-22)
-            if tail_max is not None:
-                # the ratios end where two_step_ratio cut the series
-                hi = ratios.size + 2
-                rows.append(["two-step-tail-max", max(1, hi - 52), hi,
-                             tail_max, 1.0, tail_max < 1.0])
+    rows = rate_rows(report, polyhedral="polyhedral" in entry.tags)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(RATE_COLUMNS)
@@ -157,14 +127,17 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="run the solver on a corpus problem")
     _add_solver_flags(ps)
+    ps.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     ps.add_argument("--out", default="history.csv", help="history CSV path")
-    ps.set_defaults(func=cmd_solve, max_outer=100_000)
+    ps.set_defaults(func=cmd_solve, max_outer=SolverParams.max_outer)
 
     pv = sub.add_parser("verify", help="run a named check suite")
     pv.add_argument("--suite", required=True,
                     help="one of: %s" % ", ".join(SUITES))
-    pv.add_argument("--problem", default=None, help="optional corpus id")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--problem", default=None,
+                    help="optional corpus id; the inner suite takes none")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seeds the inner and operators suites")
     pv.add_argument("--out", default="checks.csv", help="check CSV path")
     pv.set_defaults(func=cmd_verify)
 

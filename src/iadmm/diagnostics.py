@@ -22,6 +22,9 @@ from .errors import CertificationError, ConfigError, StructuralError
 
 log = logging.getLogger(__name__)
 
+# slack of the energy-decay, ergodic-gap and accelerated-rate checks
+BOUND_SLACK = 1e-8
+
 
 def kkt_error(x, lam, problem):
     """First-order optimality error of a primal-dual candidate.
@@ -186,12 +189,12 @@ def _require_fixed_weights(report, check):
                           "changed them" % check)
 
 
-def decay_rows(report, slack=1e-8):
+def decay_rows(report):
     """Per-sweep energy decay rows for a run with a recorded reference.
 
     Checks ``E_k - E_{k+1} >= alpha (2 D_k + sigma R_k
     + rho (1 - alpha) (||y - z||_Q^2 + ||A z - b||^2))`` with slack
-    ``slack * (1 + E_k)`` for every recorded ``k`` except the last.
+    ``BOUND_SLACK * (1 + E_k)`` for every recorded ``k`` except the last.
     A strong-mode run or one with a ``gamma-safeguard`` event raises
     :class:`ConfigError`: the bound needs a fixed penalty and fixed weights.
     """
@@ -207,14 +210,14 @@ def decay_rows(report, slack=1e-8):
         drop = E[k] - E[k + 1]
         need = alpha * (2.0 * h.delta_gap[k] + sigma * h.R[k]
                         + rho * (1.0 - alpha) * (h.q_gap_sq[k] + h.feas[k] ** 2))
-        eps_slack = slack * (1.0 + E[k])
+        eps_slack = BOUND_SLACK * (1.0 + E[k])
         rows.append(CheckRow("energy-decay", k + 1, drop, need, eps_slack,
                              drop >= need - eps_slack))
     return rows
 
 
-def ergodic_rows(report, slack=1e-8):
-    """Averaged-gap rows: ``gap(zbar_t) <= E_1 / (2 alpha t) + slack``.
+def ergodic_rows(report):
+    """Averaged-gap rows: ``gap(zbar_t) <= E_1 / (2 alpha t) + BOUND_SLACK``.
 
     Like :func:`decay_rows`, refuses strong-mode and safeguarded runs.
     """
@@ -228,17 +231,18 @@ def ergodic_rows(report, slack=1e-8):
     for t in range(1, len(h.erg_gap) + 1):
         lhs = h.erg_gap[t - 1]
         rhs = E1 / (2.0 * alpha * t)
-        rows.append(CheckRow("ergodic-gap", t, lhs, rhs, slack, lhs <= rhs + slack))
+        rows.append(CheckRow("ergodic-gap", t, lhs, rhs, BOUND_SLACK,
+                             lhs <= rhs + BOUND_SLACK))
     return rows
 
 
-def strong_rows(report, slack=1e-8):
+def strong_rows(report):
     """Accelerated-rate rows for growing-penalty runs.
 
     Checks the weighted-average gap against
     ``2 cbar / (alpha (t (t + 1) + 2 k0 t))`` and the corrected-point
     error ``||y_{t+1} - x*||^2`` against ``cbar / ((t + k0)^2 theta)``,
-    both with slack ``slack * (1 + cbar)``, plus monotonicity of
+    both with slack ``BOUND_SLACK * (1 + cbar)``, plus monotonicity of
     ``k / Gamma_i^k``.
     """
     h = report.history
@@ -246,7 +250,7 @@ def strong_rows(report, slack=1e-8):
         raise ConfigError("accelerated-rate check needs a growing-penalty run with a reference")
     alpha = report.params.alpha
     k0, theta, cbar = report.k0, report.theta, report.cbar
-    eps = slack * (1.0 + cbar)
+    eps = BOUND_SLACK * (1.0 + cbar)
     rows = []
     T = len(h.w_gap)
     for t in range(1, T + 1):

@@ -50,12 +50,13 @@ non-finite, so the test of every entry of ``u`` runs only on that cold
 path and a bad prox step still fails at the trial that made it.  A
 finite step whose square overflows to ``inf`` is not an error.
 
-The loop stops once ``gamma_l`` has caught up with the previous sweep's
-accuracy weight and the scaled step ``||a_l - x_i|| / sqrt(gamma_l)``
-falls below the forcing threshold derived from the previous outer
-residual.  Numeric failures (a non-finite prox step, an exhausted
-backtrack, the iteration cap) raise :class:`NumericError` with the
-inner iteration, and the sweep and block when the caller passes them.
+The loop stops once ``gamma_l`` has reached its floor (the previous
+sweep's accuracy weight, raised in the growing-penalty mode) and the
+scaled step ``||a_l - x_i|| / sqrt(gamma_l)`` falls below the forcing
+threshold derived from the previous outer residual.  Numeric failures
+(a non-finite prox step, an exhausted backtrack, the iteration cap)
+raise :class:`NumericError` with the inner iteration, and the sweep and
+block when the caller passes them.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ def line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, grad_bar):
     return lhs >= f_a - _LS_SLACK * (1.0 + abs(f_a))
 
 
-def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=60):
+def params_adaptive(Lambda_prev, delta0, eta, accept,
+                    max_backtracks=InnerConfig.max_backtracks):
     """Backtracking rule: grow ``delta / alpha`` until ``accept`` passes.
 
     For trial ``j`` the candidate pair is derived from
@@ -182,8 +184,7 @@ def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=60):
 
 
 def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
-              Gamma_prev, psi_eps, gamma_floor=None, force_iters=None,
-              trace=False, ctx=None):
+              Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None):
     """Run the inner loop for one block and one outer sweep.
 
     Parameters
@@ -200,16 +201,16 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
     rho, gamma_i : float
         Penalty parameter and the block's diagonal weight in ``M``.
     Gamma_prev : float
-        Accuracy weight reached in the previous outer sweep.
+        Floor that ``gamma_l`` must reach before the loop may stop.  With
+        a fixed penalty it is the accuracy weight ``Gamma_i^{k-1}`` reached
+        in the previous outer sweep (``0`` on the first); the
+        growing-penalty mode raises it to ``Gamma_i^{k-1} k / (k - 1)``
+        from sweep 2 on, which keeps ``k / Gamma_i^k`` nonincreasing.
     psi_eps : float
         Forcing threshold ``psi(eps_prev)``; ``inf`` on the first sweep.
-    gamma_floor : float, optional
-        Stronger lower bound on ``gamma_l`` than ``Gamma_prev`` (used by
-        the growing-penalty mode to keep ``k / Gamma_k`` nonincreasing).
     force_iters : int, optional
         Run exactly this many iterations (at least one) and skip the
-        stopping test (used by invariant checks and the single-step
-        benchmark mode).
+        stopping test (used by invariant checks).
     trace : bool
         Also return an :class:`InnerTrace` with per-iteration records.
     ctx : tuple, optional
@@ -234,7 +235,6 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
     rg = rho * gamma_i
     ry = rho * gamma_i * y_i
     rw = rho * op.adjoint(op.apply(y_i) - b_i + lam / rho)
-    floor = Gamma_prev if gamma_floor is None else gamma_floor
     delta0 = min(max(1.0, cfg.delta_min), cfg.delta_max)
     u_prev = a_prev = x_i
     gamma = Lambda = sum_sq = 0.0
@@ -294,7 +294,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
                 tr.step_sq.append(dsq)
                 tr.backtracks.append(backtracks)
 
-            if stop and gamma >= floor:
+            if stop and gamma >= Gamma_prev:
                 d = a - x_i
                 if math.sqrt(float(d.dot(d))) <= psi_eps * math.sqrt(gamma):
                     break

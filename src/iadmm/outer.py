@@ -294,8 +294,8 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                     floor = Gamma[i] * k / (k - 1.0)
                 res, _ = run_inner(
                     problem.blocks[i], x.blocks[i], y.blocks[i], lam, b_i,
-                    rho_k, gammas[i], cfg, Gamma_prev=Gamma[i], psi_eps=eps_prev,
-                    gamma_floor=floor, ctx=(k, i))
+                    rho_k, gammas[i], cfg, Gamma_prev=floor, psi_eps=eps_prev,
+                    ctx=(k, i))
             x_blocks[i] = res.x_next
             z_blocks[i] = res.z
             Gamma_new[i] = res.Gamma

@@ -152,7 +152,7 @@ def gen_qp(seed, m=2, mu=0.0, p_floor=None):
         return CorpusEntry(
             id=ident, problem=problem, seed=int(seed), reference=ref,
             tags=frozenset(tags), data=data,
-            extras={"mu": mu, "scale": scale},
+            extras={"scale": scale},
         )
     raise ConfigError("could not generate a certifiable QP for seed %s" % seed)
 
@@ -199,7 +199,6 @@ def gen_lasso(seed):
     return CorpusEntry(
         id=ident, problem=problem, seed=int(seed), reference=ref,
         tags=frozenset({"lasso", "polyhedral"}), data=data,
-        extras={"weights": weights},
     )
 
 
@@ -265,8 +264,7 @@ def gen_imaging(seed, side=32, tv_weight=1e-2, l1_weight=1e-3,
         id=ident, problem=problem, seed=int(seed),
         tags=frozenset({"imaging", "three-block"}),
         data={"u_true": u_true, "f": f_data, "kernel": kernel},
-        extras={"side": side, "tv_weight": tv_weight, "l1_weight": l1_weight,
-                "u_true": u_true, "blur": F},
+        extras={"tv_weight": tv_weight, "l1_weight": l1_weight},
     )
 
 

@@ -62,18 +62,6 @@ class ProxTerm:
     is_zero: bool = False
 
 
-def soft_threshold(y, t):
-    """Shrink each entry of ``y`` toward zero by ``t`` (prox of ``t * l1``)."""
-    if t < 0:
-        raise ConfigError("threshold must be nonnegative")
-    return _shrink(np.asarray(y, dtype=np.float64), t)
-
-
-def _shrink(y, t):
-    # the soft-thresholding kernel, unchecked: ``l1_prox`` calls it per step
-    return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
-
-
 def group_shrink(y, t, size):
     """Blockwise shrinkage toward zero by ``t`` of consecutive ``size``-entry groups of ``y``.
 
@@ -188,7 +176,7 @@ def l1_prox(weight):
         raise ConfigError("l1 weight must be finite and nonnegative, got %r" % weight)
     return ProxTerm(
         value=lambda y: weight * float(np.abs(y).sum()),
-        prox=lambda y, tau: _shrink(y, weight * tau),
+        prox=lambda y, tau: np.sign(y) * np.maximum(np.abs(y) - weight * tau, 0.0),
     )
 
 

@@ -3,11 +3,10 @@
 Each suite runs a small, fixed study and returns ``CheckRow`` records,
 one per verified inequality or identity.  The command line front end
 writes them to CSV and folds the pass flags into its exit code; tests
-call them directly.  Instances are deliberately small so every suite
+call them directly.  ``rates`` writes the rows of :func:`rate_rows`, and
+the suites check them.  Instances are deliberately small so every suite
 finishes in seconds.
 """
-
-import logging
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from .outer import SolverParams, solve
 from .problems import from_id
 from .proxlib import l1_prox, quadratic, zero_prox
 
-log = logging.getLogger(__name__)
-
 SUITES = ("inner", "decay", "ergodic", "strong", "linear", "operators")
 
 # thresholds shared with the test suite
@@ -40,6 +37,9 @@ XI_TOL = 1e-9
 LEMMA_SLACK = 1e-8
 ERGODIC_SLOPE = -1.0 + 0.15
 STRONG_SLOPE = -2.0 + 0.2
+# check names of the rate-study series that the suites verify
+SLOPE_CHECKS = {"ergodic-gap": "ergodic-slope", "weighted-gap": "weighted-gap-slope",
+                "y-error-sq": "y-error-slope"}
 DENSE_ORACLE_MAX_DIM = 400
 
 
@@ -48,14 +48,13 @@ def _row(name, index, lhs, rhs, slack=0.0):
                     bool(lhs <= rhs + slack))
 
 
-def operator_rows(entry, rng=None):
+def operator_rows(entry, rng):
     """Adjoint, orthonormality, back-substitution and P-norm checks.
 
     Works on any corpus entry; each adjoint check takes the worst of 20
-    random pairs.  The dense P-norm oracle is skipped for
-    problems whose total dimension makes assembling M unreasonable.
+    random pairs drawn from ``rng``.  The dense P-norm oracle is skipped
+    for problems whose total dimension makes assembling M unreasonable.
     """
-    rng = np.random.default_rng(0x0B5E) if rng is None else rng
     problem = entry.problem
     rows = []
     for i, blk in enumerate(problem.blocks):
@@ -175,21 +174,6 @@ def _tracked_solve(problem_id, **params):
     return solve(entry.problem, SolverParams(**params), ref=entry.reference)
 
 
-def decay_suite_rows(problem_id="qp-2-m2"):
-    """Per-sweep energy decrease on a reference-tracked quadratic run."""
-    return decay_rows(_tracked_solve(problem_id, alpha=0.5, tol=0.0, max_outer=400))
-
-
-def ergodic_suite_rows(problem_id="qp-3-m2"):
-    """Averaged-iterate gap bound plus its fitted decay slope."""
-    iters = 600
-    report = _tracked_solve(problem_id, alpha=0.5, tol=0.0, max_outer=iters)
-    rows = ergodic_rows(report)
-    fit = rate_fit(report.history.k, report.history.erg_gap, (50, iters))
-    rows.append(_row("ergodic-slope", iters, fit.slope, ERGODIC_SLOPE))
-    return rows
-
-
 def _floored_fit(ks, vals, lo, hi, floor):
     vals = np.asarray(vals, dtype=float)
     ks = np.asarray(ks, dtype=float)
@@ -200,56 +184,86 @@ def _floored_fit(ks, vals, lo, hi, floor):
     return rate_fit(ks[ok], vals[ok], (lo, hi)), hi
 
 
-def strong_suite_rows(problem_id="qp-2-m2-mu0.5"):
-    """Growing-penalty bounds, schedule monotonicity and slope fits."""
-    iters = 300
-    report = _tracked_solve(problem_id, mode="strong", alpha=0.5, tol=0.0, max_outer=iters)
-    rows = strong_rows(report)
-    h = report.history
-    fit_w, hi_w = _floored_fit(h.k, h.w_gap, 20, iters, 1e-16)
-    rows.append(_row("weighted-gap-slope", hi_w, fit_w.slope, STRONG_SLOPE))
-    fit_y, hi_y = _floored_fit(h.k, h.y_err_sq, 20, iters, 1e-18)
-    rows.append(_row("y-error-slope", hi_y, fit_y.slope, STRONG_SLOPE))
-    return rows
+def _fit_row(series, ks, vals, lo, hi, threshold, floor):
+    fit, hi = _floored_fit(ks, vals, lo, hi, floor)
+    return (series, lo, hi, fit.slope, threshold, fit.slope <= threshold)
 
 
-def linear_suite_rows(problem_id="lasso-1"):
-    """Geometric tail of the best-case energy on a polyhedral problem."""
-    report = _tracked_solve(problem_id, alpha=0.8, tol=1e-9, max_outer=50_000)
-    ratios, tail_max = two_step_ratio(report.history.E)
+def tail_row(E):
+    """Two-step energy ratio row, cut before rounding noise; ``None`` if too short.
+
+    Passes only when the largest of the last 50 ratios is below one.
+    """
+    ratios, tail_max = two_step_ratio(E, rel_floor=1e-22)
     if tail_max is None:
-        raise ConfigError("energy tail too short for the ratio test")
-    rows = [_row("two-step-tail-max", report.iterations, tail_max, 1.0)]
-    rows.append(_row("terminated", report.iterations,
-                     0.0 if report.cause == "tolerance" else 1.0, 0.0))
-    return rows
+        return None
+    # the ratios end where two_step_ratio cut the series
+    hi = ratios.size + 2
+    return ("two-step-tail-max", max(1, hi - 52), hi, tail_max, 1.0, tail_max < 1.0)
 
 
-def operators_suite_rows(problem_id=None, seed=0):
-    """Operator checks over the default corpus or one named entry."""
-    ids = [problem_id] if problem_id else ["qp-1-m2", "lasso-1", "img-0-s32"]
-    rng = np.random.default_rng([seed, 0x09E5])
-    rows = []
-    for ident in ids:
-        entry = from_id(ident)
-        for r in operator_rows(entry, rng=rng):
-            rows.append(CheckRow("%s[%s]" % (r.name, ident), r.index,
-                                 r.lhs, r.rhs, r.slack, r.passed))
-    return rows
+def rate_rows(report, polyhedral=False):
+    """Rate study of a tracked run: ``(series, window_lo, window_hi, value, threshold, pass)``.
+
+    Strong mode fits the weighted-average gap and the squared error of
+    ``y`` over ``[20, max_outer]``; a fixed penalty fits the ergodic gap
+    over ``[50, min(2000, max_outer)]`` and adds :func:`tail_row` on a
+    polyhedral problem.  Each window ends at the last value above its floor.
+    """
+    h, horizon = report.history, report.params.max_outer
+    if report.params.mode == "strong":
+        return [
+            _fit_row("weighted-gap", h.k, h.w_gap, 20, horizon, STRONG_SLOPE, 1e-16),
+            _fit_row("y-error-sq", h.k, h.y_err_sq, 20, horizon, STRONG_SLOPE, 1e-18),
+        ]
+    rows = [_fit_row("ergodic-gap", h.k, h.erg_gap, 50, min(2000, horizon), ERGODIC_SLOPE, 0.0)]
+    tail = tail_row(h.E) if polyhedral else None
+    return rows + ([tail] if tail else [])
+
+
+def _check_rows(rows):
+    """Rate-study rows as check rows, indexed by the end of their window."""
+    return [CheckRow(SLOPE_CHECKS.get(series, series), hi, value, threshold, 0.0, ok)
+            for series, _, hi, value, threshold, ok in rows]
 
 
 def run_suite(name, problem_id=None, seed=0):
-    """Dispatch a named suite; unknown names raise ``ConfigError``."""
+    """Run a named suite on its default problems or on ``problem_id``.
+
+    An unknown name, or a problem id for the ``inner`` suite (which draws
+    random subproblems), raises ``ConfigError``.
+    """
     if name == "inner":
+        if problem_id is not None:
+            raise ConfigError("suite 'inner' takes no problem id (got %r)" % (problem_id,))
         return inner_rows(seed=seed)
     if name == "decay":
-        return decay_suite_rows(problem_id or "qp-2-m2")
+        # per-sweep energy decrease
+        return decay_rows(_tracked_solve(problem_id or "qp-2-m2", alpha=0.5, tol=0.0,
+                                         max_outer=400))
     if name == "ergodic":
-        return ergodic_suite_rows(problem_id or "qp-3-m2")
+        # averaged-iterate gap bound plus its fitted slope
+        report = _tracked_solve(problem_id or "qp-3-m2", alpha=0.5, tol=0.0, max_outer=600)
+        return ergodic_rows(report) + _check_rows(rate_rows(report))
     if name == "strong":
-        return strong_suite_rows(problem_id or "qp-2-m2-mu0.5")
+        # growing-penalty bounds, schedule monotonicity and slope fits
+        report = _tracked_solve(problem_id or "qp-2-m2-mu0.5", mode="strong", alpha=0.5,
+                                tol=0.0, max_outer=300)
+        return strong_rows(report) + _check_rows(rate_rows(report))
     if name == "linear":
-        return linear_suite_rows(problem_id or "lasso-1")
+        # geometric tail of the energy on a polyhedral problem
+        report = _tracked_solve(problem_id or "lasso-1", alpha=0.8, tol=1e-9, max_outer=50_000)
+        tail = tail_row(report.history.E)
+        if tail is None:
+            raise ConfigError("energy tail too short for the ratio test")
+        return _check_rows([tail]) + [_row("terminated", report.iterations,
+                                           0.0 if report.cause == "tolerance" else 1.0, 0.0)]
     if name == "operators":
-        return operators_suite_rows(problem_id, seed=seed)
+        rng = np.random.default_rng([seed, 0x09E5])
+        rows = []
+        for ident in [problem_id] if problem_id else ["qp-1-m2", "lasso-1", "img-0-s32"]:
+            for r in operator_rows(from_id(ident), rng):
+                rows.append(CheckRow("%s[%s]" % (r.name, ident), r.index,
+                                     r.lhs, r.rhs, r.slack, r.passed))
+        return rows
     raise ConfigError("unknown suite %r (choices: %s)" % (name, ", ".join(SUITES)))

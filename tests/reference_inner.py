@@ -79,8 +79,8 @@ def _prox_step(grad, u_prev, y_i, w_pen, delta, rho, gamma_i, nonsmooth):
 
 
 def run_inner_reference(block, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
-                        Gamma_prev, psi_eps, gamma_floor=None, force_iters=None,
-                        trace=False, ctx=None):
+                        Gamma_prev, psi_eps, force_iters=None, trace=False,
+                        ctx=None):
     smooth, nonsmooth, op = block.smooth, block.nonsmooth, block.op
     zeta = smooth.lipschitz
     zero_f = (zeta == 0.0)
@@ -90,7 +90,6 @@ def run_inner_reference(block, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
     x_i = np.asarray(x_i, dtype=np.float64)
     st = InnerState(u_prev=x_i.copy(), a_prev=x_i.copy())
     w_pen = op.adjoint(op.apply(y_i) - b_i + lam / rho)
-    floor = Gamma_prev if gamma_floor is None else gamma_floor
     delta0 = min(max(1.0, cfg.delta_min), cfg.delta_max)
     tr = InnerTrace() if trace else None
     if tr is not None:
@@ -153,7 +152,7 @@ def run_inner_reference(block, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
             tr.backtracks.append(backtracks)
 
         if force_iters is None:
-            if st.gamma >= floor and float(np.linalg.norm(a - x_i)) <= psi_eps * np.sqrt(st.gamma):
+            if st.gamma >= Gamma_prev and float(np.linalg.norm(a - x_i)) <= psi_eps * np.sqrt(st.gamma):
                 stopped = True
                 break
         elif l == max_l:

@@ -111,6 +111,15 @@ def test_verify_unknown_suite_exits_one(tmp_path, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_inner_refuses_a_problem(tmp_path, capsys):
+    # the inner suite draws its own subproblems: a problem id is refused, not ignored
+    rc = main(["verify", "--suite", "inner", "--problem", "qp-1-m2",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "suite 'inner'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_rates_convex_csv(tmp_path):
     out = tmp_path / "rates.csv"
     rc = main(["rates", "--problem", "qp-2-m2", "--max-outer", "400",

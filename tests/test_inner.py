@@ -16,8 +16,7 @@ from iadmm.inner import (
 )
 from iadmm.oracle import subproblem_minimizer
 from iadmm.problem import Block
-from iadmm.proxlib import (ProxTerm, l1_prox, quadratic, soft_threshold, zero_prox,
-                           zero_smooth)
+from iadmm.proxlib import ProxTerm, l1_prox, quadratic, zero_prox, zero_smooth
 from reference_inner import run_inner_reference
 from test_inner_reference import _assert_same
 
@@ -144,7 +143,8 @@ def test_prox_step_stationarity_and_l1_formula():
             grad = blk.smooth.grad((1.0 - alpha) * a_prev + alpha * u_prev)
             scale = delta + rho * gamma_i
             v = (delta * u_prev + rho * gamma_i * y_i - grad - rho * w_pen) / scale
-            assert np.allclose(tr.us[l + 1], soft_threshold(v, 0.3 / scale), atol=1e-12)
+            shrunk = np.sign(v) * np.maximum(np.abs(v) - 0.3 / scale, 0.0)
+            assert np.allclose(tr.us[l + 1], shrunk, atol=1e-12)
             a_prev = tr.a_s[l]
 
 
@@ -166,22 +166,19 @@ def test_step1b_check_arithmetic():
 
     psi = gaps[29] / np.sqrt(gammas[29]) * (1.0 + 1e-9)
     cases = [
-        (0.0, None, np.inf, 1),        # infinite tolerance: stop at once
-        (gammas[9], None, np.inf, 10),  # the floor is met exactly at l = 10
-        (0.0, gammas[14], np.inf, 15),  # gamma_floor overrides Gamma_prev
-        (0.0, None, psi, None),         # only the scaled step binds
-        (gammas[39], None, psi, 40),    # the floor binds after the step
+        (0.0, np.inf, 1),        # infinite tolerance: stop at once
+        (gammas[9], np.inf, 10),  # the floor is met exactly at l = 10
+        (0.0, psi, None),         # only the scaled step binds
+        (gammas[39], psi, 40),    # the floor binds after the step
     ]
-    for Gamma_prev, gamma_floor, psi_eps, expect in cases:
-        floor = Gamma_prev if gamma_floor is None else gamma_floor
+    for floor, psi_eps, expect in cases:
         want = first(floor, psi_eps)
         if expect is not None:
             assert want == expect
         else:
             assert 1 < want <= 30
         res, _ = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
-                           Gamma_prev=Gamma_prev, gamma_floor=gamma_floor,
-                           psi_eps=psi_eps)
+                           Gamma_prev=floor, psi_eps=psi_eps)
         assert res.iters == want
         assert res.Gamma == tr.gammas[want - 1]
         assert np.array_equal(res.z, tr.a_s[want - 1])

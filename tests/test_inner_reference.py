@@ -90,10 +90,8 @@ def test_stopped_run_matches_reference(smooth_kind, prox_kind, rule):
     # floors and thresholds are scaled to still need several iterations
     g, p = (2e7, 1e-3) if smooth_kind == "zero" else (1.0, 1.0)
     for trace in (False, True):
-        for Gamma_prev, gamma_floor, psi_eps in ((0.0, None, np.inf), (0.5, None, 2.0),
-                                                 (0.5, 3.0, 0.5)):
-            kw = dict(Gamma_prev=g * Gamma_prev, psi_eps=p * psi_eps, trace=trace,
-                      gamma_floor=None if gamma_floor is None else g * gamma_floor)
+        for Gamma_prev, psi_eps in ((0.0, np.inf), (0.5, 2.0), (3.0, 0.5)):
+            kw = dict(Gamma_prev=g * Gamma_prev, psi_eps=p * psi_eps, trace=trace)
             _assert_same(run_inner(blk, *args, cfg, **kw),
                          run_inner_reference(blk, *args, cfg, **kw))
 

@@ -103,7 +103,7 @@ def test_imaging_feasibility_of_lifted_point():
     # (u, Bu, Psi^T u) satisfies the coupling constraints by construction
     entry = gen_imaging(1, side=16)
     problem = entry.problem
-    u = entry.extras["u_true"].ravel()
+    u = entry.data["u_true"].ravel()
     B = Grad2D(16)
     Psi = HaarMap(16)
     from iadmm.blockspace import BlockVector
@@ -115,8 +115,8 @@ def test_imaging_feasibility_of_lifted_point():
 def test_imaging_objective_at_truth():
     entry = gen_imaging(2, side=16, tv_weight=1e-2, l1_weight=1e-3)
     problem = entry.problem
-    u = entry.extras["u_true"].ravel()
-    F = entry.extras["blur"]
+    u = entry.data["u_true"].ravel()
+    F = SeparableBlur(16, entry.data["kernel"])
     f = entry.data["f"]
     B = Grad2D(16)
     Psi = HaarMap(16)
@@ -136,7 +136,7 @@ def test_imaging_zero_weights_reduce_to_least_squares():
     # normal-equations deblur (narrow kernel keeps this well conditioned)
     entry = gen_imaging(5, side=16, tv_weight=0.0, l1_weight=0.0,
                         blur_sigma=0.5, blur_radius=1)
-    F = entry.extras["blur"]
+    F = SeparableBlur(16, entry.data["kernel"])
     f = entry.data["f"]
     Fd = F.to_dense()
     u_star = np.linalg.solve(Fd.T @ Fd, Fd.T @ f)

@@ -11,17 +11,17 @@ from iadmm.proxlib import (
     l1_prox,
     quadratic,
     quadratic_smooth,
-    soft_threshold,
     zero_prox,
     zero_smooth,
 )
 
 
 def test_soft_threshold_grid():
+    # the l1 prox shrinks each entry toward zero by weight * tau
     y = np.array([2.0, -2.0, 0.5, -0.5, 0.0])
-    out = soft_threshold(y, 1.0)
+    out = l1_prox(0.5).prox(y, 2.0)
     assert out == pytest.approx([1.0, -1.0, 0.0, 0.0, 0.0])
-    assert soft_threshold(np.array([3.0]), 0.0) == pytest.approx([3.0])
+    assert l1_prox(0.0).prox(np.array([3.0]), 1.0) == pytest.approx([3.0])
 
 
 def test_group_shrink_grid():
