@@ -136,8 +136,9 @@ def build_parser():
                     help="one of: %s" % ", ".join(SUITES))
     pv.add_argument("--problem", default=None,
                     help="optional corpus id; the inner suite takes none")
-    pv.add_argument("--seed", type=int, default=0,
-                    help="seeds the inner and operators suites")
+    pv.add_argument("--seed", type=int, default=None,
+                    help="seeds the inner and operators suites (default 0); "
+                         "the others draw nothing and refuse one")
     pv.add_argument("--out", default="checks.csv", help="check CSV path")
     pv.set_defaults(func=cmd_verify)
 

@@ -57,11 +57,21 @@ threshold derived from the previous outer residual.  Numeric failures
 (a non-finite prox step, an exhausted backtrack, the iteration cap)
 raise :class:`NumericError` with the inner iteration, and the sweep and
 block when the caller passes them.
+
+The loop is deterministic in its inputs, so a caller that passes the
+block's previous result as ``prev`` gets that result back, with
+``iters = 0``, when every input the loop reads (``x_i``, ``y_i``,
+``lam``, ``b_i``, ``rho``, ``gamma_i``, ``Gamma_prev``, ``psi_eps``)
+repeats bit for bit; ``-0.0`` and ``0.0`` count as different.  The
+block and the config are the caller's to keep fixed.  Once an outer
+solve reaches a bitwise fixed point, every later sweep reuses its inner
+solves this way instead of re-running them to the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +113,21 @@ class InnerConfig:
 
 @dataclass
 class InnerResult:
-    """Outcome of one inner loop: new iterate, lookahead point, weights."""
+    """Outcome of one inner loop: new iterate, lookahead point, weights.
+
+    ``iters`` counts the inner iterations run; from :func:`run_inner` it
+    is ``0`` only when the result was reused from ``prev``, and then the
+    other four fields are ``prev``'s own values (the arrays are shared).
+    ``inputs`` is the bit pattern of the inputs an unforced loop ran on,
+    which the next call compares against; ``None`` for a forced run.
+    """
 
     x_next: np.ndarray
     z: np.ndarray
     Gamma: float
     r: float
     iters: int
+    inputs: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -183,8 +201,14 @@ def params_adaptive(Lambda_prev, delta0, eta, accept,
     )
 
 
+def _input_bits(x_i, y_i, lam, b_i, rho, gamma_i, Gamma_prev, psi_eps):
+    # exact bit patterns, so -0.0 and 0.0 (or two nan payloads) differ
+    return (tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (x_i, y_i, lam, b_i))
+            + (struct.pack("<4d", rho, gamma_i, Gamma_prev, psi_eps),))
+
+
 def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
-              Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None):
+              Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None, prev=None):
     """Run the inner loop for one block and one outer sweep.
 
     Parameters
@@ -215,6 +239,12 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         Also return an :class:`InnerTrace` with per-iteration records.
     ctx : tuple, optional
         ``(outer_iteration, block_index)`` attached to numeric errors.
+    prev : InnerResult, optional
+        This block's result from the previous call, with the same block
+        and ``cfg``.  When the inputs above repeat ``prev``'s bit for bit,
+        no iteration runs and ``prev``'s values come back with
+        ``iters = 0``.  Calls with ``force_iters`` or ``trace`` never
+        reuse a result.
 
     Returns
     -------
@@ -227,6 +257,11 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         raise ConfigError("constant rule needs a positive Lipschitz bound for nonzero smooth terms")
     if force_iters is not None and force_iters < 1:
         raise ConfigError("force_iters must be at least 1")
+    stop = force_iters is None
+    inputs = (_input_bits(x_i, y_i, lam, b_i, rho, gamma_i, Gamma_prev, psi_eps)
+              if stop else None)
+    if prev is not None and stop and not trace and prev.inputs == inputs:
+        return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0, inputs), None
     adaptive = cfg.rule == "adaptive" and not zero_f
     value_grad, sigma = smooth.value_grad, cfg.sigma
 
@@ -263,7 +298,6 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         ok = not adaptive or line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, g)
         return ok, (u, a, dsq)
 
-    stop = force_iters is None
     try:
         for l in range(1, (cfg.max_iters if stop else force_iters) + 1):
             if adaptive:
@@ -308,7 +342,8 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         # every numeric failure names the sweep, block and inner iteration
         err.context.update(_ctx(ctx, l))
         raise
-    return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l), tr
+    return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l,
+                       inputs=inputs), tr
 
 
 def _ctx(ctx, l):

@@ -256,6 +256,9 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     Gammas = []
     events = []
     Gamma = [0.0] * m
+    # each block's last inner result, which run_inner hands back unrun
+    # when the sweep repeats its inputs bit for bit
+    prev = [None] * m
     eps_prev = float("inf")
     zbar_sum = BlockVector.zeros(dims)
     ztilde_sum = BlockVector.zeros(dims) if strong else None
@@ -295,7 +298,8 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                 res, _ = run_inner(
                     problem.blocks[i], x.blocks[i], y.blocks[i], lam, b_i,
                     rho_k, gammas[i], cfg, Gamma_prev=floor, psi_eps=eps_prev,
-                    ctx=(k, i))
+                    ctx=(k, i), prev=prev[i])
+                prev[i] = res
             x_blocks[i] = res.x_next
             z_blocks[i] = res.z
             Gamma_new[i] = res.Gamma

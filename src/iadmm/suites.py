@@ -227,12 +227,18 @@ def _check_rows(rows):
             for series, _, hi, value, threshold, ok in rows]
 
 
-def run_suite(name, problem_id=None, seed=0):
+def run_suite(name, problem_id=None, seed=None):
     """Run a named suite on its default problems or on ``problem_id``.
 
-    An unknown name, or a problem id for the ``inner`` suite (which draws
-    random subproblems), raises ``ConfigError``.
+    ``seed`` (default 0) seeds the ``inner`` and ``operators`` suites, the
+    only ones that draw at random.  An unknown name, a problem id for the
+    ``inner`` suite (which draws random subproblems), or a seed for any
+    other suite raises ``ConfigError``.
     """
+    if seed is not None and name in SUITES and name not in ("inner", "operators"):
+        raise ConfigError("suite %r draws nothing at random and takes no seed (got %r)"
+                          % (name, seed))
+    seed = 0 if seed is None else seed
     if name == "inner":
         if problem_id is not None:
             raise ConfigError("suite 'inner' takes no problem id (got %r)" % (problem_id,))

@@ -24,8 +24,8 @@ from iadmm.inner import InnerConfig, run_inner
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block, ProblemSpec
-from iadmm.problems import from_id, gen_lasso, gen_qp
-from iadmm.proxlib import l1_prox, quadratic, zero_prox
+from iadmm.problems import from_id
+from iadmm.proxlib import quadratic, zero_prox
 from iadmm.suites import _floored_fit, _random_subproblem
 
 QP_IDS = ["qp-%d-m%d" % (s, 2 + s % 2) for s in range(1, 11)]

@@ -120,6 +120,15 @@ def test_verify_inner_refuses_a_problem(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("suite", ["decay", "ergodic", "strong", "linear"])
+def test_verify_refuses_a_seed_it_would_ignore(tmp_path, capsys, suite):
+    # these suites draw nothing at random: a seed is refused, not ignored
+    rc = main(["verify", "--suite", suite, "--seed", "7", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_rates_convex_csv(tmp_path):
     out = tmp_path / "rates.csv"
     rc = main(["rates", "--problem", "qp-2-m2", "--max-outer", "400",

@@ -21,11 +21,10 @@ from iadmm.diagnostics import (
     write_check_csv,
 )
 from iadmm.errors import CertificationError, ConfigError, StructuralError
-from iadmm.oracle import solve_qp_kkt
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block, ProblemSpec
 from iadmm.problems import from_id, gen_qp
-from iadmm.proxlib import l1_prox, quadratic, zero_prox
+from iadmm.proxlib import quadratic, zero_prox
 
 
 def _qp_problem(seed=0, m=2):

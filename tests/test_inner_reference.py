@@ -128,8 +128,8 @@ def entry(request):
     return from_id(request.param)
 
 
-def _solve_bits(entry):
-    rep = solve(entry.problem, SolverParams(), ref=entry.reference)
+def _solve_bits(entry, **params):
+    rep = solve(entry.problem, SolverParams(**params), ref=entry.reference)
     return (_history_bits(rep.history), _bits(rep.z.to_flat()), _bits(rep.lam),
             rep.cause, rep.iterations)
 
@@ -138,7 +138,31 @@ def test_solve_is_bitwise_repeatable(entry):
     assert _solve_bits(entry) == _solve_bits(entry)
 
 
-def test_solve_matches_reference_loop(entry, monkeypatch):
-    new = _solve_bits(entry)
-    monkeypatch.setattr(iadmm.outer, "run_inner", run_inner_reference)
-    assert _solve_bits(entry) == new
+def _reference_without_reuse(*args, prev=None, **kw):
+    # the frozen loop knows no ``prev``: it re-runs every solve
+    return run_inner_reference(*args, **kw)
+
+
+# qp-2-m2 at alpha 0.5 reaches a bitwise fixed point at sweep 770, so
+# from there on every sweep hands back its blocks' previous inner results
+FIXED_POINT = dict(alpha=0.5, tol=0.0, max_outer=900)
+
+
+@pytest.mark.parametrize("entry,params", [
+    ("qp-1-m2", {}), ("lasso-1", {}), ("qp-2-m2", FIXED_POINT),
+], ids=["qp-1-m2", "lasso-1", "qp-2-m2-fixed-point"], indirect=["entry"])
+def test_solve_matches_reference_loop(entry, params, monkeypatch):
+    iters = []
+    real = iadmm.outer.run_inner
+
+    def counting(*args, **kw):
+        res, tr = real(*args, **kw)
+        iters.append(res.iters)
+        return res, tr
+
+    monkeypatch.setattr(iadmm.outer, "run_inner", counting)
+    new = _solve_bits(entry, **params)
+    if params is FIXED_POINT:
+        assert 0 in iters
+    monkeypatch.setattr(iadmm.outer, "run_inner", _reference_without_reuse)
+    assert _solve_bits(entry, **params) == new
