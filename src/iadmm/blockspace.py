@@ -19,11 +19,14 @@ are squared norms of the factor ``Q^{-1/2} M^T S`` (``S = I`` or
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, NumericError, StructuralError
 
 POWER_SEED = 0x5EED
+_F64 = np.dtype(np.float64)
 
 
 def _vec(v):
@@ -77,7 +80,7 @@ class BlockVector:
         return float(sum(float(b @ b) for b in self.blocks))
 
     def norm(self):
-        return float(np.sqrt(self.norm_sq()))
+        return math.sqrt(self.norm_sq())
 
     def _check_like(self, other):
         if not isinstance(other, BlockVector) or other.dims != self.dims:
@@ -105,8 +108,10 @@ class LinearMap:
     """Abstract linear operator with an exact adjoint.
 
     Subclasses set ``rows``/``cols`` and implement ``apply`` (forward
-    product) and ``adjoint`` (transpose product).  ``to_dense`` assembles
-    the matrix one ``apply`` per column, for desk-scale oracles, generators
+    product) and ``adjoint`` (transpose product).  Both return a fresh
+    array that shares no memory with their input or with an earlier
+    result, so the caller may overwrite it.  ``to_dense`` assembles the
+    matrix one ``apply`` per column, for desk-scale oracles, generators
     and checks; only ``DenseMap`` overrides it, with a copy of its matrix.
     """
 
@@ -130,12 +135,18 @@ class LinearMap:
         return out
 
     def _check_in(self, x):
+        # a 1-d float64 array of the right size is returned as it is, as
+        # the checks below would return it; they run for everything else
+        if type(x) is np.ndarray and x.dtype is _F64 and x.shape == (self.cols,):
+            return x
         x = _vec(x)
         if x.size != self.cols:
             raise StructuralError("%s: input has size %d, expected %d" % (self.kind, x.size, self.cols))
         return x
 
     def _check_out(self, w):
+        if type(w) is np.ndarray and w.dtype is _F64 and w.shape == (self.rows,):
+            return w
         w = _vec(w)
         if w.size != self.rows:
             raise StructuralError("%s: adjoint input has size %d, expected %d" % (self.kind, w.size, self.rows))
@@ -155,13 +166,14 @@ class DenseMap(LinearMap):
         if mat.ndim != 2:
             raise StructuralError("dense operator needs a 2-d matrix")
         self.mat = mat
+        self._mat_t = mat.T
         self.rows, self.cols = mat.shape
 
     def apply(self, x):
         return self.mat.dot(self._check_in(x))
 
     def adjoint(self, w):
-        return self.mat.T.dot(self._check_out(w))
+        return self._mat_t.dot(self._check_out(w))
 
     def to_dense(self):
         return self.mat.copy()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +27,21 @@ log = logging.getLogger(__name__)
 BOUND_SLACK = 1e-8
 
 
-def kkt_error(x, lam, problem):
+def kkt_error(x, lam, problem, residual=None):
     """First-order optimality error of a primal-dual candidate.
 
     Sum of the constraint residual norm and, per block, the prox-residual
     ``||x_i - prox_{h_i}(x_i - grad f_i(x_i) - A_i^T lam)||`` with unit
-    prox step.  Zero exactly at saddle points.
+    prox step.  Zero exactly at saddle points.  A caller that holds
+    ``problem.residual(x)`` already passes it as ``residual``.
     """
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    total = float(np.linalg.norm(problem.residual(x)))
+    r = problem.residual(x) if residual is None else residual
+    total = math.sqrt(r.dot(r))
     for blk, xi in zip(problem.blocks, x.blocks):
         step = xi - (blk.smooth.grad(xi) + blk.op.adjoint(lam))
-        total += float(np.linalg.norm(xi - blk.nonsmooth.prox(step, 1.0)))
+        d = xi - blk.nonsmooth.prox(step, 1.0)
+        total += math.sqrt(d.dot(d))
     return total
 
 
@@ -82,13 +86,15 @@ def energy(x, y, lam, ref, Gammas, rho, alpha, M: BlockTriangular):
     return float(val)
 
 
-def lagrangian_gap(z, ref, problem):
+def lagrangian_gap(z, ref, problem, objective=None, residual=None):
     """Gap ``L(z, lam*) - objective(x*)``; nonnegative for true references.
 
     A value below ``-1e-9 * (1 + |objective(x*)|)`` indicates a bad
-    reference pair and is logged as a warning.
+    reference pair and is logged as a warning.  A caller that holds
+    ``problem.objective(z)`` or ``problem.residual(z)`` already passes it
+    as ``objective`` or ``residual``.
     """
-    gap = problem.lagrangian(z, ref.lam_star) - ref.objective
+    gap = problem.lagrangian(z, ref.lam_star, objective, residual) - ref.objective
     if gap < -1e-9 * (1.0 + abs(ref.objective)):
         log.warning("lagrangian gap %.3e is negative beyond noise; suspect reference", gap)
     return float(gap)

@@ -37,11 +37,20 @@ All three cases run through one loop.  The rule picks
 ``(delta, alpha)``; one trial then evaluates ``f_i`` and its gradient at
 ``a_bar`` in a single fused call (``SmoothTerm.value_grad``), takes the
 prox step with the penalty vectors ``rho gamma_i y_i`` and
-``rho A_i^T (A_i y_i - b_i + lam/rho)`` computed once per loop, and
-forms ``a = (1 - alpha) a_prev + alpha u``.  Only the adaptive rule
-runs the descent test, which costs one more ``f_i`` value at ``a``; its
+``rho A_i^T (A_i y_i - b_i + lam/rho)`` computed once per loop (from
+the caller's ``A_i y_i`` when it passes one), and forms
+``a = (1 - alpha) a_prev + alpha u``.  Only the adaptive rule runs the
+descent test, which costs one more ``f_i`` value at ``a``; its
 backtracking driver :func:`params_adaptive` retries the trial with a
 larger ``delta / alpha`` until the test passes.
+
+Within one iteration ``a_prev`` and ``u_prev`` are fixed, so a retried
+trial whose ``alpha`` equals the last trial's has the same ``a_bar``:
+it reuses that trial's ``a_bar``, ``f_i`` value and gradient instead of
+evaluating them again.  This covers every backtrack of iteration 1,
+where ``Lambda = 0`` makes ``alpha = 1``.  The reuse ends with the
+iteration; the prox step and the descent test's ``f_i`` value at ``a``
+still run once per trial.
 
 Each trial also takes the squared step ``||u - u_prev||^2`` once, for
 the accumulated ``r`` and the trace, and the finiteness check runs on
@@ -208,7 +217,8 @@ def _input_bits(x_i, y_i, lam, b_i, rho, gamma_i, Gamma_prev, psi_eps):
 
 
 def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
-              Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None, prev=None):
+              Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None, prev=None,
+              ay_i=None):
     """Run the inner loop for one block and one outer sweep.
 
     Parameters
@@ -245,6 +255,9 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         no iteration runs and ``prev``'s values come back with
         ``iters = 0``.  Calls with ``force_iters`` or ``trace`` never
         reuse a result.
+    ay_i : ndarray, optional
+        ``A_i y_i``, when the caller has it already; it must be the
+        block operator's own ``apply(y_i)``, which is then not run again.
 
     Returns
     -------
@@ -269,7 +282,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
     # the two penalty terms of the prox step are fixed for the whole loop
     rg = rho * gamma_i
     ry = rho * gamma_i * y_i
-    rw = rho * op.adjoint(op.apply(y_i) - b_i + lam / rho)
+    rw = rho * op.adjoint((op.apply(y_i) if ay_i is None else ay_i) - b_i + lam / rho)
     delta0 = min(max(1.0, cfg.delta_min), cfg.delta_max)
     u_prev = a_prev = x_i
     gamma = Lambda = sum_sq = 0.0
@@ -278,15 +291,32 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
     if tr is not None:
         tr.us.append(x_i.copy())
 
+    # ``(alpha, a_keep, a_bar, f_bar, g)`` of this iteration's last trial
+    memo = None
+
     def trial(delta, alpha):
         # prox step of the linearized subproblem at ``a_bar``; only the
         # adaptive rule needs the descent test.  Scalar products are written
-        # array-first, which dispatches faster and is bitwise the same.
-        a_keep = a_prev * (1.0 - alpha)
-        a_bar = a_keep + u_prev * alpha
-        f_bar, g = value_grad(a_bar)
+        # array-first, which dispatches faster and is bitwise the same, and
+        # each fresh temporary takes the next term in place (addition
+        # commutes exactly): ``a_bar = a_keep + u_prev alpha``,
+        # ``v = (u_prev delta + ry - g - rw) / scale``, ``a = a_keep + u alpha``.
+        nonlocal memo
+        if memo is not None and memo[0] == alpha:
+            a_keep, a_bar, f_bar, g = memo[1:]
+        else:
+            a_keep = a_prev * (1.0 - alpha)
+            a_bar = u_prev * alpha
+            a_bar += a_keep
+            f_bar, g = value_grad(a_bar)
+            memo = (alpha, a_keep, a_bar, f_bar, g)
         scale = delta + rg
-        u = prox((u_prev * delta + ry - g - rw) / scale, 1.0 / scale)
+        v = u_prev * delta
+        v += ry
+        v -= g
+        v -= rw
+        v /= scale
+        u = prox(v, 1.0 / scale)
         d = u - u_prev
         dsq = float(d.dot(d))
         # a non-finite entry of ``u`` makes ``dsq`` non-finite, so the
@@ -294,12 +324,14 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         if not math.isfinite(dsq) and not np.isfinite(u).all():
             raise NumericError("prox step produced non-finite values",
                                context={"routine": "run_inner"})
-        a = a_keep + u * alpha
+        a = u * alpha
+        a += a_keep
         ok = not adaptive or line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, g)
         return ok, (u, a, dsq)
 
     try:
         for l in range(1, (cfg.max_iters if stop else force_iters) + 1):
+            memo = None
             if adaptive:
                 delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
                     Lambda, delta0, cfg.eta, trial, cfg.max_backtracks)

@@ -74,14 +74,16 @@ def lipschitz_bound(smooth):
     return float(np.max(np.abs(np.linalg.eigvalsh(smooth.hessian))))
 
 
-def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i, tol=1e-12):
+def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i, tol=1e-12, ay_i=None):
     """High-accuracy minimizer of one block's exact subproblem.
 
     The subproblem is ``f(u) + h(u) + (rho/2) ||A u - b_i + lam/rho||^2
     + (rho/2) (u - y_i)^T (gamma_i I - A^T A) (u - y_i)``.  The two
     penalty terms have combined Hessian exactly ``rg I`` with
     ``rg = rho * gamma_i``, so their gradient is ``rw + rg (u - y_i)``
-    with the constant ``rw = rho * w_pen``.
+    with the constant ``rw = rho A^T (A y_i - b_i + lam/rho)``; a caller
+    that already holds ``A y_i`` (the operator's own ``apply(y_i)``)
+    passes it as ``ay_i``.
 
     - A smooth term with a zero Lipschitz bound is affine with constant
       gradient ``c0``, and the minimizer is the closed form
@@ -110,7 +112,7 @@ def subproblem_minimizer(block: Block, y_i, lam, b_i, rho, gamma_i, tol=1e-12):
     smooth, nonsmooth, op = block.smooth, block.nonsmooth, block.op
     y_i = np.asarray(y_i, dtype=np.float64).reshape(-1)
     rg = rho * gamma_i
-    rw = rho * op.adjoint(op.apply(y_i) - b_i + lam / rho)
+    rw = rho * op.adjoint((op.apply(y_i) if ay_i is None else ay_i) - b_i + lam / rho)
     prox = nonsmooth.prox
 
     if smooth.is_zero:

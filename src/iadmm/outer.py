@@ -10,6 +10,15 @@ and, unless ``eps_k`` is small enough to stop, applies the corrective
 step: solve ``M^T (y_new - y) = alpha Q (z - y)`` by back substitution
 and update ``lam`` by ``alpha * rho * (A z - b)``.
 
+Each sweep computes a value once and hands it to every reader: the
+products ``A_i y_i`` that form the blocks' right-hand sides also go to
+the inner loop or the exact oracle, ``y - z`` serves both ``||z - y||``
+and ``||y - z||_Q^2``, and with a reference pair the objectives at
+``z`` and at the running average and the residual at ``z`` serve the
+history's objective, KKT and gap columns.  Every shared value is the
+one its reader would have computed, so the records are bitwise those
+of separate evaluations.
+
 Three modes are supported.  ``convex`` runs a fixed penalty ``rho``.
 ``strong`` grows the penalty as ``rho_k = (k0 + k) * theta`` using the
 problem's strong-convexity modulus, and additionally forces the
@@ -286,7 +295,8 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                 # inexactness term vanishes and the accuracy weight carries over
                 try:
                     xbar = subproblem_minimizer(problem.blocks[i], y.blocks[i], lam, b_i,
-                                                rho_k, gammas[i], tol=params.exact_tol)
+                                                rho_k, gammas[i], tol=params.exact_tol,
+                                                ay_i=ay[i])
                 except NumericError as err:
                     err.context.update(outer_iteration=k, block=i)
                     raise
@@ -298,22 +308,25 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                 res, _ = run_inner(
                     problem.blocks[i], x.blocks[i], y.blocks[i], lam, b_i,
                     rho_k, gammas[i], cfg, Gamma_prev=floor, psi_eps=eps_prev,
-                    ctx=(k, i), prev=prev[i])
+                    ctx=(k, i), prev=prev[i], ay_i=ay[i])
                 prev[i] = res
             x_blocks[i] = res.x_next
             z_blocks[i] = res.z
             Gamma_new[i] = res.Gamma
             r_vals[i] = res.r
-            c_full = c_full - ay[i] + ops[i].apply(res.z)
+            # c_full is this sweep's own array, so it is updated in place
+            c_full -= ay[i]
+            c_full += ops[i].apply(res.z)
 
         z = BlockVector._wrap(z_blocks, dims)
         x_next = BlockVector._wrap(x_blocks, dims)
         Gamma = Gamma_new
         residual = c_full - problem.b
-        feas = float(np.linalg.norm(residual))
-        yz = (y - z).norm()
+        feas = math.sqrt(residual.dot(residual))
+        yz_diff = y - z
+        yz = yz_diff.norm()
         R = max(sum(r_vals), 0.0)
-        eps_k = float(yz + feas + np.sqrt(R))
+        eps_k = yz + feas + math.sqrt(R)
         if not math.isfinite(eps_k):
             raise NumericError("residual eps_k is not finite",
                                context={"routine": "solve", "outer_iteration": k})
@@ -346,18 +359,19 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         obj = problem.objective(z)
         zbar_sum = zbar_sum + z
         zbar = zbar_sum * (1.0 / k)
+        erg_obj = problem.objective(zbar)
         row = {
             "k": k, "eps": eps_k, "feas": feas, "yz_gap": yz, "R": R,
-            "obj": obj, "rho": rho_k, "gamma1": gammas[0],
-            "kkt": kkt_error(z, lam, problem) if ref is not None else float("nan"),
-            "q_gap_sq": M.q_norm_sq(y - z),
-            "erg_obj": problem.objective(zbar),
+            "obj": obj, "rho": rho_k, "gamma1": gammas[0], "kkt": float("nan"),
+            "q_gap_sq": M.q_norm_sq(yz_diff), "erg_obj": erg_obj,
         }
         if ref is not None:
+            res_z = problem.residual(z)
+            row["kkt"] = kkt_error(z, lam, problem, residual=res_z)
             row["E"] = (energy(x, y, lam, ref, Gamma, rho_k, params.alpha, M)
                         if min(Gamma) > 0.0 else float("nan"))
-            row["delta_gap"] = lagrangian_gap(z, ref, problem)
-            row["erg_gap"] = lagrangian_gap(zbar, ref, problem)
+            row["delta_gap"] = lagrangian_gap(z, ref, problem, objective=obj, residual=res_z)
+            row["erg_gap"] = lagrangian_gap(zbar, ref, problem, objective=erg_obj)
             if strong:
                 wsum += k0 + k
                 ztilde_sum = ztilde_sum + z * (k0 + k)

@@ -85,12 +85,20 @@ class ProblemSpec:
             total += blk.smooth.value(xi) + blk.nonsmooth.value(xi)
         return float(total)
 
-    def lagrangian(self, x, lam):
-        """Ordinary Lagrangian ``objective + <lam, A x - b>``."""
+    def lagrangian(self, x, lam, objective=None, residual=None):
+        """Ordinary Lagrangian ``objective + <lam, A x - b>``.
+
+        ``objective`` and ``residual``, when given, are this problem's own
+        ``objective(x)`` and ``residual(x)``, which are then not formed again.
+        """
         lam = np.asarray(lam, dtype=np.float64).reshape(-1)
         if lam.size != self.rhs_dim:
             raise StructuralError("multiplier length does not match the constraint")
-        return self.objective(x) + float(lam @ self.residual(x))
+        if objective is None:
+            objective = self.objective(x)
+        if residual is None:
+            residual = self.residual(x)
+        return objective + float(lam @ residual)
 
     def mu_total(self):
         """Combined strong-convexity modulus ``min_i (mu_f_i + 3 mu_h_i)``."""

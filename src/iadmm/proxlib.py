@@ -106,16 +106,21 @@ def quadratic(H, c, modulus=0.0):
     H = 0.5 * (H + H.T)
     lip = float(np.max(np.abs(np.linalg.eigvalsh(H)))) if H.size else 0.0
 
-    # scalar arithmetic on Python floats: cheaper than on numpy scalars, same bits
+    # scalar arithmetic on Python floats: cheaper than on numpy scalars, same
+    # bits; the fresh product ``H x`` takes ``c`` in place
     def value(x):
         return 0.5 * float(H.dot(x).dot(x)) + float(c.dot(x))
 
     def grad(x):
-        return H.dot(x) + c
+        g = H.dot(x)
+        g += c
+        return g
 
     def value_grad(x):
-        Hx = H.dot(x)
-        return 0.5 * float(Hx.dot(x)) + float(c.dot(x)), Hx + c
+        g = H.dot(x)
+        val = 0.5 * float(g.dot(x)) + float(c.dot(x))
+        g += c
+        return val, g
 
     return SmoothTerm(value=value, grad=grad, lipschitz=lip,
                       modulus=float(modulus), hessian=H, linear=c.copy(),
@@ -143,15 +148,21 @@ def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
         if modulus is None:
             modulus = float(max(ev[0], 0.0))
 
+    # ``F.apply`` returns a fresh array, so the residual is formed in place
+    def residual(u):
+        r = F.apply(u)
+        r -= f
+        return r
+
     def value(u):
-        r = F.apply(u) - f
+        r = residual(u)
         return float(0.5 * r.dot(r))
 
     def grad(u):
-        return F.adjoint(F.apply(u) - f)
+        return F.adjoint(residual(u))
 
     def value_grad(u):
-        r = F.apply(u) - f
+        r = residual(u)
         return float(0.5 * r.dot(r)), F.adjoint(r)
 
     return SmoothTerm(value=value, grad=grad, lipschitz=float(lipschitz),

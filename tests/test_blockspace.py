@@ -1,5 +1,7 @@
 """Linear-operator layer: block vectors, adjoints, the triangular factor."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from iadmm.blockspace import (
     ScaledIdentity,
     VStack,
     ZeroMap,
+    _MetricFactor,
     spectral_norm,
 )
 from iadmm.errors import ConfigError, NumericError, StructuralError
+from iadmm.problems import SeparableBlur, gaussian_kernel
 
 RNG = np.random.default_rng(0xB10C)
 
@@ -137,6 +141,68 @@ def test_dimension_checks():
         HaarMap(12)
     with pytest.raises(ConfigError):
         VStack([DenseMap(np.ones((2, 3))), DenseMap(np.ones((2, 4)))])
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def _every_kind():
+    M = BlockTriangular([2.0, 3.0], [DenseMap(RNG.standard_normal((4, d))) for d in (3, 2)])
+    return {
+        "dense": DenseMap(RNG.standard_normal((7, 5))),
+        "identity": ScaledIdentity(6, 1.0),
+        "negated-identity": ScaledIdentity(6, -1.0),
+        "scaled-identity": ScaledIdentity(6, 0.37),
+        "zero": ZeroMap(4, 9),
+        "finite-difference-2d": Grad2D(4),
+        "orthonormal-wavelet": HaarMap(8, levels=2),
+        "vertical-stack": VStack([Grad2D(4), HaarMap(4, levels=1)]),
+        "separable-blur": SeparableBlur(4, gaussian_kernel()),
+        "metric-factor": _MetricFactor(M, scaled=False),
+        "scaled-metric-factor": _MetricFactor(M, scaled=True),
+    }
+
+
+KINDS = _every_kind()
+
+
+def _methods(op):
+    return ((op.apply, op.cols), (op.adjoint, op.rows))
+
+
+@pytest.mark.parametrize("op", KINDS.values(), ids=KINDS.keys())
+def test_results_are_fresh_arrays(op):
+    # the contract callers rely on when they overwrite a result in place
+    rng = np.random.default_rng(5)
+    for method, n in _methods(op):
+        x = rng.standard_normal(n)
+        keep = x.copy()
+        first, second = method(x), method(x)
+        assert not np.shares_memory(first, x)
+        assert not np.shares_memory(first, second)
+        first[:] = np.nan
+        assert np.array_equal(x, keep) and np.array_equal(method(x), second)
+
+
+@pytest.mark.parametrize("op", KINDS.values(), ids=KINDS.keys())
+def test_inputs_off_the_fast_path_convert_or_raise(op):
+    # only a 1-d float64 ndarray of the right size skips the input checks;
+    # every other input is converted to float64 or refused as before
+    for method, n in _methods(op):
+        x = np.arange(n, dtype=np.float64) - 1.5
+        want = method(x).tobytes()
+        for other in (x.tolist(), x.astype(np.float32), x.astype(">f8"), x.view(_Subclass)):
+            assert method(other).tobytes() == want
+        ints = np.arange(n) - 2
+        assert method(ints).tobytes() == method(ints.astype(np.float64)).tobytes()
+        with pytest.raises(StructuralError,
+                           match=re.escape("expected a 1-d vector, got shape (1, %d)" % n)):
+            method(x[None, :])
+        # the blur's adjoint is its apply, so it says "input" either way
+        with pytest.raises(StructuralError, match="^%s: (adjoint )?input has size %d, expected %d$"
+                           % (re.escape(op.kind), n + 1, n)):
+            method(np.zeros(n + 1))
 
 
 def test_spectral_norm_against_dense():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import iadmm.inner
 from iadmm.blockspace import DenseMap
 from iadmm.errors import ConfigError, NumericError
 from iadmm.inner import (
@@ -238,6 +239,62 @@ def test_run_inner_reuses_prev_only_on_bitwise_equal_inputs():
     traced = run_inner(blk, *args, cfg, **kw, trace=True, prev=first)
     assert traced[0].iters == first.iters and traced[1] is not None
     _assert_same(run_inner(blk, *args, cfg, **kw, prev=forced), (first, None))
+
+
+def _trial_alphas(monkeypatch):
+    """Record the ``alpha`` of every adaptive trial, one list per inner iteration."""
+    iters = []
+    real = iadmm.inner.params_adaptive
+
+    def recording(Lambda_prev, delta0, eta, accept, max_backtracks):
+        alphas = []
+        iters.append(alphas)
+
+        def accept_recorded(delta, alpha):
+            alphas.append(alpha)
+            return accept(delta, alpha)
+
+        return real(Lambda_prev, delta0, eta, accept_recorded, max_backtracks)
+
+    monkeypatch.setattr(iadmm.inner, "params_adaptive", recording)
+    return iters
+
+
+@pytest.mark.parametrize("case", ["backtracks", "boundary"])
+def test_trials_at_a_repeated_alpha_reuse_the_gradient(case, monkeypatch):
+    # at Lambda = 0 every trial of iteration 1 has alpha = 1 and linearizes
+    # at the same a_bar, so f_i and its gradient there are evaluated once.
+    # In the boundary case a huge eta and a tiny delta_min make iteration 2
+    # start at alpha = 1 too, from a new point: a reuse that outlived its
+    # iteration would skip that evaluation
+    blk = _block(7)
+    cfg = InnerConfig(sigma=0.9)
+    if case == "boundary":
+        blk = dataclasses.replace(blk, smooth=quadratic(0.01 * blk.smooth.hessian,
+                                                        blk.smooth.linear))
+        cfg.eta, cfg.delta_min = 1e20, 1e-30
+    calls = []
+
+    def counted(x, value_grad=blk.smooth.value_grad):
+        calls.append(1)
+        return value_grad(x)
+
+    counting = dataclasses.replace(blk, smooth=dataclasses.replace(blk.smooth,
+                                                                   value_grad=counted))
+    args = _inner_inputs(7, blk) + (1.0, 2.0, cfg)
+    kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=6, trace=True)
+    alphas = _trial_alphas(monkeypatch)
+    new = run_inner(counting, *args, **kw)
+
+    backtracks = new[1].backtracks
+    trials = len(backtracks) + sum(backtracks)
+    assert [len(a) for a in alphas] == [1 + b for b in backtracks]
+    if case == "backtracks":
+        assert backtracks[0] >= 2
+    else:
+        assert backtracks[0] == 0 and alphas[1][0] == alphas[0][-1] == 1.0
+    assert len(calls) == trials - backtracks[0]
+    _assert_same(new, run_inner_reference(blk, *args, **kw))
 
 
 @pytest.mark.parametrize("rule", ["constant", "adaptive"])

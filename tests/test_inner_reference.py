@@ -131,6 +131,7 @@ def entry(request):
 def _solve_bits(entry, **params):
     rep = solve(entry.problem, SolverParams(**params), ref=entry.reference)
     return (_history_bits(rep.history), _bits(rep.z.to_flat()), _bits(rep.lam),
+            _bits(rep.x.to_flat()), _bits(rep.y.to_flat()), repr(rep.events),
             rep.cause, rep.iterations)
 
 
@@ -138,19 +139,24 @@ def test_solve_is_bitwise_repeatable(entry):
     assert _solve_bits(entry) == _solve_bits(entry)
 
 
-def _reference_without_reuse(*args, prev=None, **kw):
-    # the frozen loop knows no ``prev``: it re-runs every solve
+def _reference_without_reuse(*args, prev=None, ay_i=None, **kw):
+    # the frozen loop knows no ``prev`` and no ``ay_i``: it re-runs every
+    # solve and applies ``A_i`` to ``y_i`` itself
     return run_inner_reference(*args, **kw)
 
 
 # qp-2-m2 at alpha 0.5 reaches a bitwise fixed point at sweep 770, so
 # from there on every sweep hands back its blocks' previous inner results
 FIXED_POINT = dict(alpha=0.5, tol=0.0, max_outer=900)
+# three structured blocks, two with zero smooth terms; the safeguard grows
+# block 0's weight once (sweep 320 of 817)
+SAFEGUARD = dict(alpha=0.9, gamma_mode="safeguard", tol=1e-3)
 
 
 @pytest.mark.parametrize("entry,params", [
-    ("qp-1-m2", {}), ("lasso-1", {}), ("qp-2-m2", FIXED_POINT),
-], ids=["qp-1-m2", "lasso-1", "qp-2-m2-fixed-point"], indirect=["entry"])
+    ("qp-1-m2", {}), ("lasso-1", {}), ("qp-2-m2", FIXED_POINT), ("img-0-s16", SAFEGUARD),
+], ids=["qp-1-m2", "lasso-1", "qp-2-m2-fixed-point", "img-0-s16-safeguard"],
+    indirect=["entry"])
 def test_solve_matches_reference_loop(entry, params, monkeypatch):
     iters = []
     real = iadmm.outer.run_inner
@@ -164,5 +170,7 @@ def test_solve_matches_reference_loop(entry, params, monkeypatch):
     new = _solve_bits(entry, **params)
     if params is FIXED_POINT:
         assert 0 in iters
+    if params is SAFEGUARD:
+        assert "gamma-safeguard" in new[5]
     monkeypatch.setattr(iadmm.outer, "run_inner", _reference_without_reuse)
     assert _solve_bits(entry, **params) == new

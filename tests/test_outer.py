@@ -1,12 +1,16 @@
 """Outer sweep: step arithmetic, schedules, termination, safeguards."""
 
+import copy
 import dataclasses
+import logging
+import struct
 
 import numpy as np
 import pytest
 
 import iadmm.outer
 from iadmm.blockspace import BlockTriangular, BlockVector, DenseMap
+from iadmm.diagnostics import kkt_error, lagrangian_gap
 from iadmm.errors import ConfigError, NumericError, StructuralError
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.outer import SolverParams, gamma_compatible, solve, step3_update
@@ -285,6 +289,41 @@ def test_tolerance_termination_and_residual_consistency():
     assert np.allclose(recomb, np.asarray(h.eps), rtol=1e-12, atol=1e-15)
     # the final feasibility gap is dominated by the tolerance
     assert h.feas[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("ident", ["qp-1-m2", "lasso-1"])
+def test_first_rows_diagnostics_match_the_public_functions(ident, caplog):
+    # the sweep forms objective(z), objective(zbar) and residual(z) once and
+    # shares them between columns; the rows must still read, bit for bit,
+    # what the public functions compute from scratch.  A one-sweep solve
+    # (tol=inf) stops before the corrective step, so it returns sweep 1's
+    # lam; a one-sweep solve at tol=0 returns the lam that sweep 2 reads
+    entry = from_id(ident)
+    problem, ref = entry.problem, entry.reference
+    one = solve(problem, SolverParams(tol=np.inf), ref=ref)
+    lams = [one.lam, solve(problem, SolverParams(tol=0.0, max_outer=1), ref=ref).lam]
+    two = solve(problem, SolverParams(tol=0.0, max_outer=2), ref=ref)
+    assert one.cause == "tolerance" and one.iterations == 1
+    h = two.history
+    zbar_sum = BlockVector.zeros(problem.dims)
+    for k, (z, lam) in enumerate(zip((one.z, two.z), lams), start=1):
+        zbar_sum = zbar_sum + z
+        zbar = zbar_sum * (1.0 / k)
+        got = (h.kkt[k - 1], h.delta_gap[k - 1], h.erg_gap[k - 1], h.obj[k - 1],
+               h.erg_obj[k - 1])
+        want = (kkt_error(z, lam, problem), lagrangian_gap(z, ref, problem),
+                lagrangian_gap(zbar, ref, problem), problem.objective(z),
+                problem.objective(zbar))
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+    # a reference objective above both gaps' Lagrangians makes both negative,
+    # and each still logs its warning
+    bad = copy.copy(ref)
+    bad.objective = ref.objective + abs(h.delta_gap[0]) + abs(h.erg_gap[0]) + 1.0
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="iadmm.diagnostics"):
+        solve(problem, SolverParams(tol=np.inf), ref=bad)
+    assert sum("is negative beyond noise" in r.getMessage() for r in caplog.records) == 2
 
 
 def test_strong_mode_gamma_floor_keeps_ratio_monotone():
