@@ -30,7 +30,8 @@ _F64 = np.dtype(np.float64)
 
 
 def _vec(v):
-    a = np.asarray(v, dtype=np.float64)
+    # C order, so a strided view is copied and no product depends on memory layout
+    a = np.asarray(v, dtype=np.float64, order="C")
     if a.ndim != 1:
         raise StructuralError("expected a 1-d vector, got shape %s" % (a.shape,))
     return a
@@ -135,9 +136,10 @@ class LinearMap:
         return out
 
     def _check_in(self, x):
-        # a 1-d float64 array of the right size is returned as it is, as
-        # the checks below would return it; they run for everything else
-        if type(x) is np.ndarray and x.dtype is _F64 and x.shape == (self.cols,):
+        # a C-contiguous 1-d float64 array of the right size is returned as
+        # it is, as the checks below would return it; they run for everything else
+        if (type(x) is np.ndarray and x.dtype is _F64 and x.shape == (self.cols,)
+                and x.flags.c_contiguous):
             return x
         x = _vec(x)
         if x.size != self.cols:
@@ -145,7 +147,8 @@ class LinearMap:
         return x
 
     def _check_out(self, w):
-        if type(w) is np.ndarray and w.dtype is _F64 and w.shape == (self.rows,):
+        if (type(w) is np.ndarray and w.dtype is _F64 and w.shape == (self.rows,)
+                and w.flags.c_contiguous):
             return w
         w = _vec(w)
         if w.size != self.rows:

@@ -1,10 +1,11 @@
 """Command line front end: solve runs, verification suites, rate studies.
 
-Exit codes: 0 on success (solve reached tolerance or an exact fixed
-point; every check in a suite passed; every fitted rate met its
-threshold), 2 when a solve stops on the iteration cap, 1 on any error
-(unknown problem id, unknown suite, missing reference, numerical
-failure).
+Exit codes: 0 on success (solve reached tolerance or an exactly-zero
+residual; every check in a suite passed; every fitted rate met its
+threshold), 2 when a solve stops short of its tolerance (on the
+iteration cap, or ``stalled``: the next sweep would repeat the last one
+bit for bit), 1 on any error (unknown problem id, unknown suite, missing
+reference, numerical failure).
 """
 
 import argparse
@@ -74,9 +75,7 @@ def cmd_solve(args):
     print("%s: %s after %d sweeps (eps=%.3e, %.2fs) -> %s"
           % (args.problem, report.cause, report.iterations, report.eps,
              report.seconds, args.out))
-    if report.cause == "max-iterations":
-        return 2
-    return 0
+    return 2 if report.cause in ("max-iterations", "stalled") else 0
 
 
 def cmd_verify(args):

@@ -67,20 +67,15 @@ threshold derived from the previous outer residual.  Numeric failures
 raise :class:`NumericError` with the inner iteration, and the sweep and
 block when the caller passes them.
 
-The loop is deterministic in its inputs, so a caller that passes the
-block's previous result as ``prev`` gets that result back, with
-``iters = 0``, when every input the loop reads (``x_i``, ``y_i``,
-``lam``, ``b_i``, ``rho``, ``gamma_i``, ``Gamma_prev``, ``psi_eps``)
-repeats bit for bit; ``-0.0`` and ``0.0`` count as different.  The
-block and the config are the caller's to keep fixed.  Once an outer
-solve reaches a bitwise fixed point, every later sweep reuses its inner
-solves this way instead of re-running them to the same bits.
+A caller that passes the block's previous result as ``prev`` gets that
+result back unrun, with ``iters = 0``.  The loop compares nothing: the
+outer solve passes ``prev`` only after it has found that the whole sweep
+repeats its inputs bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,10 +120,8 @@ class InnerResult:
     """Outcome of one inner loop: new iterate, lookahead point, weights.
 
     ``iters`` counts the inner iterations run; from :func:`run_inner` it
-    is ``0`` only when the result was reused from ``prev``, and then the
-    other four fields are ``prev``'s own values (the arrays are shared).
-    ``inputs`` is the bit pattern of the inputs an unforced loop ran on,
-    which the next call compares against; ``None`` for a forced run.
+    is ``0`` only when the result was handed back from ``prev``, and then
+    the other four fields are ``prev``'s own values (the arrays are shared).
     """
 
     x_next: np.ndarray
@@ -136,7 +129,6 @@ class InnerResult:
     Gamma: float
     r: float
     iters: int
-    inputs: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -210,12 +202,6 @@ def params_adaptive(Lambda_prev, delta0, eta, accept,
     )
 
 
-def _input_bits(x_i, y_i, lam, b_i, rho, gamma_i, Gamma_prev, psi_eps):
-    # exact bit patterns, so -0.0 and 0.0 (or two nan payloads) differ
-    return (tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (x_i, y_i, lam, b_i))
-            + (struct.pack("<4d", rho, gamma_i, Gamma_prev, psi_eps),))
-
-
 def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
               Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None, prev=None,
               ay_i=None):
@@ -250,11 +236,9 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
     ctx : tuple, optional
         ``(outer_iteration, block_index)`` attached to numeric errors.
     prev : InnerResult, optional
-        This block's result from the previous call, with the same block
-        and ``cfg``.  When the inputs above repeat ``prev``'s bit for bit,
-        no iteration runs and ``prev``'s values come back with
-        ``iters = 0``.  Calls with ``force_iters`` or ``trace`` never
-        reuse a result.
+        A result of an earlier call whose inputs the caller knows were
+        these, bit for bit.  No iteration runs and ``prev``'s values come
+        back with ``iters = 0`` and no trace; nothing is compared.
     ay_i : ndarray, optional
         ``A_i y_i``, when the caller has it already; it must be the
         block operator's own ``apply(y_i)``, which is then not run again.
@@ -270,11 +254,9 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         raise ConfigError("constant rule needs a positive Lipschitz bound for nonzero smooth terms")
     if force_iters is not None and force_iters < 1:
         raise ConfigError("force_iters must be at least 1")
+    if prev is not None:
+        return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0), None
     stop = force_iters is None
-    inputs = (_input_bits(x_i, y_i, lam, b_i, rho, gamma_i, Gamma_prev, psi_eps)
-              if stop else None)
-    if prev is not None and stop and not trace and prev.inputs == inputs:
-        return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0, inputs), None
     adaptive = cfg.rule == "adaptive" and not zero_f
     value_grad, sigma = smooth.value_grad, cfg.sigma
 
@@ -374,8 +356,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         # every numeric failure names the sweep, block and inner iteration
         err.context.update(_ctx(ctx, l))
         raise
-    return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l,
-                       inputs=inputs), tr
+    return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l), tr
 
 
 def _ctx(ctx, l):

@@ -19,6 +19,18 @@ history's objective, KKT and gap columns.  Every shared value is the
 one its reader would have computed, so the records are bitwise those
 of separate evaluations.
 
+After the corrective step, ``solve`` tests once whether the next sweep
+would read exactly this sweep's inputs: the same ``eps_k`` (the next
+forcing threshold), the same accuracy weights ``Gamma_i``, no safeguard
+bump, a fixed penalty, and ``x``, ``y`` and ``lam`` equal bit for bit
+(``-0.0`` and ``0.0`` differ).  The cheap scalar tests run first, so a
+solve that never repeats pays one float comparison per sweep.  Every
+later sweep would then repeat this one, and ``eps_k`` can fall no
+further, so with ``tol > 0`` the solve ends with cause ``stalled``.
+With ``tol = 0`` (a fixed-horizon run) it goes on to ``max_outer``, and
+from then on each block's inner loop hands back its previous result
+unrun (the exact-mode oracle runs again).
+
 Three modes are supported.  ``convex`` runs a fixed penalty ``rho``.
 ``strong`` grows the penalty as ``rho_k = (k0 + k) * theta`` using the
 problem's strong-convexity modulus, and additionally forces the
@@ -165,10 +177,12 @@ class History:
 class SolveReport:
     """Everything a solve produced.
 
-    ``cause`` is one of ``tolerance``, ``exact-zero-eps``,
-    ``max-iterations`` (numeric failures raise instead, carrying
-    context).  ``x`` is the newest iterate ``x_{k+1}``, ``z``/``y``/
-    ``lam`` the final lookahead, corrected point, and multiplier.
+    ``cause`` is one of ``tolerance``, ``exact-zero-eps``, ``stalled``
+    (with ``tol > 0``, the next sweep would repeat the last one bit for
+    bit, so ``eps`` can fall no further) or ``max-iterations`` (numeric
+    failures raise instead, carrying context).  ``x`` is the newest
+    iterate ``x_{k+1}``, ``z``/``y``/``lam`` the final lookahead,
+    corrected point, and multiplier.
     """
 
     cause: str
@@ -266,8 +280,9 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     events = []
     Gamma = [0.0] * m
     # each block's last inner result, which run_inner hands back unrun
-    # when the sweep repeats its inputs bit for bit
+    # once a sweep is known to repeat its inputs bit for bit
     prev = [None] * m
+    repeat = False
     eps_prev = float("inf")
     zbar_sum = BlockVector.zeros(dims)
     ztilde_sum = BlockVector.zeros(dims) if strong else None
@@ -308,7 +323,7 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                 res, _ = run_inner(
                     problem.blocks[i], x.blocks[i], y.blocks[i], lam, b_i,
                     rho_k, gammas[i], cfg, Gamma_prev=floor, psi_eps=eps_prev,
-                    ctx=(k, i), prev=prev[i], ay_i=ay[i])
+                    ctx=(k, i), prev=prev[i] if repeat else None, ay_i=ay[i])
                 prev[i] = res
             x_blocks[i] = res.x_next
             z_blocks[i] = res.z
@@ -335,8 +350,8 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         # bump until compatible, one event per bump: a single bump can leave
         # a tiny weight far below ||A_i^T A_i||, and the corrective step then
         # throws y and lam so far that the next sweep's inner loop cannot finish
+        changed = False
         if params.gamma_mode == "safeguard":
-            changed = False
             for i in range(m):
                 while not gamma_compatible(ops[i], gammas[i], z.blocks[i], y.blocks[i]):
                     old = gammas[i]
@@ -402,11 +417,21 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
             break
 
         # --- step 3: corrective step ----------------------------------------
-        y_new, lam = step3_update(M, y, z, lam, rho_k, params.alpha, residual)
+        y_new, lam_new = step3_update(M, y, z, lam, rho_k, params.alpha, residual)
         if strong and ref is not None:
             cols["y_err_sq"][-1] = (y_new - ref.x_star).norm_sq()
-        x, y = x_next, y_new
+        # does sweep k+1 read sweep k's inputs bit for bit (-0.0 and 0.0
+        # differ)?  Cheapest tests first; solve writes none of these arrays
+        # in place, so the ones it holds are compared and no copy is kept
+        repeat = (eps_k == eps_prev and Gammas[-1] == Gammas[-2] and not changed
+                  and not strong and all(a.tobytes() == b.tobytes() for a, b in zip(
+                      x_next.blocks + y_new.blocks + [lam_new], x.blocks + y.blocks + [lam])))
+        x, y, lam = x_next, y_new, lam_new
         eps_prev = eps_k
+        if repeat and params.tol > 0.0:
+            # no later sweep can lower eps_k
+            cause = "stalled"
+            break
 
     history = History(Gammas=Gammas, **{
         name: np.array(vals, dtype=np.float64) for name, vals in cols.items()})

@@ -77,11 +77,11 @@ class SeparableBlur(LinearMap):
         self.T = sum(kernel[o + r] * np.eye(self.side, k=o) for o in range(-r, r + 1))
 
     def apply(self, x):
-        X = self._check_in(x).reshape(self.side, self.side)
-        return (self.T @ X @ self.T).reshape(-1)
+        return (self.T @ self._check_in(x).reshape(self.side, self.side) @ self.T).reshape(-1)
 
-    # symmetric kernel with zero padding makes the operator self-adjoint
-    adjoint = apply
+    def adjoint(self, w):
+        # symmetric kernel with zero padding makes the operator self-adjoint
+        return (self.T @ self._check_out(w).reshape(self.side, self.side) @ self.T).reshape(-1)
 
 
 def _rng(seed, attempt=0):
@@ -193,8 +193,8 @@ def gen_lasso(seed):
     params = SolverParams(mode="exact", rho=1.0, alpha=0.9, tol=1e-12,
                           max_outer=200_000, exact_tol=1e-13)
     report = solve(problem, params)
-    if report.cause == "max-iterations":
-        raise ConfigError("exact-mode reference run for %s did not converge" % ident)
+    if report.cause not in ("tolerance", "exact-zero-eps"):
+        raise ConfigError("exact-mode reference run for %s stopped as %s" % (ident, report.cause))
     ref = ReferencePair(problem, report.z, report.lam, source="exact-mode-run")
     return CorpusEntry(
         id=ident, problem=problem, seed=int(seed), reference=ref,

@@ -6,8 +6,11 @@ instances by name from outside the package.  A rename or removal in
 package test, so this test installs the tracer on a short solve.
 """
 
+import dataclasses
 import importlib.util
 import os
+
+import numpy as np
 
 import iadmm
 from iadmm.outer import SolverParams, solve
@@ -57,6 +60,34 @@ def test_tracer_patches_resolve_and_come_off():
                for lab, p in zip(labels, tracer.parent)) == trials
     for owner, attr, orig, _ in tracer._patches:
         assert _current(owner, attr) is orig, (owner, attr)
+
+
+def test_tracer_counts_every_block_solve_past_a_fixed_point():
+    # qp-2-m2 at alpha 0.5 repeats its whole state bit for bit from sweep
+    # 770 on; a fixed-horizon solve still calls the inner loop once per
+    # block and sweep (the bench checks inner.calls against sweeps x m),
+    # each handed-back result counts no iteration, and tracing moves no bit
+    entry = from_id("qp-2-m2")
+    params = SolverParams(alpha=0.5, tol=0.0, max_outer=800)
+    plain = solve(entry.problem, params)
+    tracer = _load_spans().Tracer()
+    tracer.patch_modules(iadmm)
+    tracer.install()
+    try:
+        traced = solve(entry.problem, params)
+    finally:
+        tracer.uninstall()
+
+    labels = [tracer.labels[i] for i in tracer.name]
+    assert sum(lab.startswith("inner.run_inner.") for lab in labels) == 800 * entry.problem.m
+    per_sweep = [tracer.sweep_iters[(0, k)] for k in range(1, 801)]
+    assert min(per_sweep[:769]) > 0 and max(per_sweep[769:]) == 0
+    for f in dataclasses.fields(plain.history):
+        got, want = getattr(traced.history, f.name), getattr(plain.history, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_tracer_labels_imaging_maps_and_proxes():

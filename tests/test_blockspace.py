@@ -187,9 +187,9 @@ def test_results_are_fresh_arrays(op):
 
 @pytest.mark.parametrize("op", KINDS.values(), ids=KINDS.keys())
 def test_inputs_off_the_fast_path_convert_or_raise(op):
-    # only a 1-d float64 ndarray of the right size skips the input checks;
-    # every other input is converted to float64 or refused as before
-    for method, n in _methods(op):
+    # only a C-contiguous 1-d float64 ndarray of the right size skips the
+    # input checks; every other input is converted to float64 or refused as before
+    for (method, n), what in zip(_methods(op), ("input", "adjoint input")):
         x = np.arange(n, dtype=np.float64) - 1.5
         want = method(x).tobytes()
         for other in (x.tolist(), x.astype(np.float32), x.astype(">f8"), x.view(_Subclass)):
@@ -199,10 +199,20 @@ def test_inputs_off_the_fast_path_convert_or_raise(op):
         with pytest.raises(StructuralError,
                            match=re.escape("expected a 1-d vector, got shape (1, %d)" % n)):
             method(x[None, :])
-        # the blur's adjoint is its apply, so it says "input" either way
-        with pytest.raises(StructuralError, match="^%s: (adjoint )?input has size %d, expected %d$"
-                           % (re.escape(op.kind), n + 1, n)):
+        with pytest.raises(StructuralError, match="^%s: %s has size %d, expected %d$"
+                           % (re.escape(op.kind), what, n + 1, n)):
             method(np.zeros(n + 1))
+
+
+@pytest.mark.parametrize("op", KINDS.values(), ids=KINDS.keys())
+def test_strided_views_give_the_bits_of_a_contiguous_copy(op):
+    # only a C-contiguous array skips the copy, so no result depends on
+    # memory layout (BLAS takes another path for a strided operand)
+    rng = np.random.default_rng(9)
+    for method, n in _methods(op):
+        x = np.repeat(rng.standard_normal(n), 2)[::2]
+        assert not x.flags.c_contiguous
+        assert method(x).tobytes() == method(x.copy()).tobytes()
 
 
 def test_spectral_norm_against_dense():

@@ -61,6 +61,18 @@ def test_solve_iteration_cap_exits_two(tmp_path):
     assert manifest["result"]["cause"] == "max-iterations"
 
 
+def test_solve_stalled_exits_two(tmp_path):
+    # qp-2-m2 at alpha 0.5 repeats bit for bit from sweep 770 on, so a
+    # tolerance of 1e-16 is never reached
+    out = tmp_path / "stall.csv"
+    rc = main(["solve", "--problem", "qp-2-m2", "--alpha", "0.5", "--tol", "1e-16",
+               "--out", str(out)])
+    assert rc == 2
+    result = json.loads((tmp_path / "stall.csv.manifest.json").read_text())["result"]
+    assert result["cause"] == "stalled" and result["iterations"] == 769
+    assert result["eps"] == pytest.approx(3.72e-16, rel=1e-2)
+
+
 def test_solve_unknown_problem_exits_one(tmp_path, capsys):
     rc = main(["solve", "--problem", "mystery-9",
                "--out", str(tmp_path / "x.csv")])

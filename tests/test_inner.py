@@ -206,39 +206,19 @@ def test_run_inner_fixed_point_stops_immediately():
     assert res.r <= 1e-18
 
 
-def test_run_inner_reuses_prev_only_on_bitwise_equal_inputs():
+def test_run_inner_hands_back_prev_unrun():
+    # the caller vouches that the inputs repeat: nothing is compared, no
+    # iteration runs, and prev's own arrays come back
     blk = _block(5)
-    x_i, y_i, lam, b_i = _inner_inputs(5, blk)
-    x_i[0] = 0.0
+    args = _inner_inputs(5, blk) + (1.0, 2.0)
     cfg = InnerConfig(sigma=0.9)
-    args = (x_i, y_i, lam, b_i, 1.0, 2.0)
     kw = dict(Gamma_prev=0.0, psi_eps=2.0)
     first, _ = run_inner(blk, *args, cfg, **kw)
     assert first.iters > 0
-
-    # a repeat, even through fresh copies of the arrays, runs no iteration
-    again, tr = run_inner(blk, *(np.copy(v) for v in args), cfg, **kw, prev=first)
+    again, tr = run_inner(blk, *(v * 2.0 for v in args), cfg, **kw, trace=True, prev=first)
     assert tr is None
     _assert_same((again, None), (dataclasses.replace(first, iters=0), None))
-
-    # equal in value but not in bits: the loop runs and matches a cold call
-    x_neg = x_i.copy()
-    x_neg[0] = -0.0
-    lam_ulp = lam.copy()
-    lam_ulp[1] = np.nextafter(lam_ulp[1], np.inf)
-    for changed_args, changed_kw in (((x_neg,) + args[1:], kw),
-                                     (args[:2] + (lam_ulp,) + args[3:], kw),
-                                     (args, dict(kw, Gamma_prev=-0.0))):
-        got = run_inner(blk, *changed_args, cfg, **changed_kw, prev=first)
-        assert got[0].iters > 0
-        _assert_same(got, run_inner(blk, *changed_args, cfg, **changed_kw))
-
-    # forced and traced calls never reuse, and a forced result is never reused
-    forced, _ = run_inner(blk, *args, cfg, **kw, force_iters=3, prev=first)
-    assert forced.iters == 3
-    traced = run_inner(blk, *args, cfg, **kw, trace=True, prev=first)
-    assert traced[0].iters == first.iters and traced[1] is not None
-    _assert_same(run_inner(blk, *args, cfg, **kw, prev=forced), (first, None))
+    assert again.x_next is first.x_next and again.z is first.z
 
 
 def _trial_alphas(monkeypatch):

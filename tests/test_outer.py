@@ -291,6 +291,71 @@ def test_tolerance_termination_and_residual_consistency():
     assert h.feas[-1] <= 1e-6
 
 
+def _history_arrays(h, rows):
+    return {f.name: getattr(h, f.name)[:rows].tobytes() for f in dataclasses.fields(h)
+            if isinstance(getattr(h, f.name), np.ndarray)}
+
+
+def test_stalled_history_is_the_fixed_horizon_prefix():
+    # qp-2-m2 at alpha 0.5 repeats its whole state bit for bit from sweep
+    # 770 on; a tolerance it cannot reach ends the solve after sweep 769
+    entry = from_id("qp-2-m2")
+    stalled = solve(entry.problem, SolverParams(alpha=0.5, tol=1e-16), ref=entry.reference)
+    assert stalled.cause == "stalled" and stalled.iterations == 769
+    assert stalled.eps == pytest.approx(3.72e-16, rel=1e-2)
+    fixed = solve(entry.problem, SolverParams(alpha=0.5, tol=0.0, max_outer=800),
+                  ref=entry.reference)
+    assert fixed.cause == "max-iterations"
+    assert _history_arrays(stalled.history, 769) == _history_arrays(fixed.history, 769)
+    assert stalled.history.Gammas == fixed.history.Gammas[:769]
+    # from the fixed point on, every later sweep ends in the same state
+    for name in ("x", "y", "z"):
+        assert (getattr(stalled, name).to_flat().tobytes()
+                == getattr(fixed, name).to_flat().tobytes()), name
+    assert stalled.lam.tobytes() == fixed.lam.tobytes()
+
+
+# lasso-1 at alpha 0.8 repeats its whole state bit for bit from sweep
+# 1212 on, at eps 1.3e-19, with exact zeros in y
+LASSO_STALL = 1211
+LASSO_STALL_PARAMS = SolverParams(alpha=0.8, tol=1e-300, max_outer=LASSO_STALL + 1)
+
+
+@pytest.fixture(scope="module")
+def lasso_stall():
+    entry = from_id("lasso-1")
+    return entry, solve(entry.problem, LASSO_STALL_PARAMS)
+
+
+@pytest.mark.parametrize("edit", ["zero-sign", "one-ulp"])
+def test_solve_stalls_only_on_a_bitwise_repeat(lasso_stall, edit, monkeypatch):
+    # the fixed point ends the solve, through arrays that are equal in bits
+    # but not the same objects; -0.0 for 0.0 in y, or one ulp more in lam,
+    # at that sweep's corrective step is equal in value only, and the solve
+    # runs on with every earlier row unchanged
+    entry, base = lasso_stall
+    assert base.cause == "stalled" and base.iterations == LASSO_STALL
+    real, calls = iadmm.outer.step3_update, []
+
+    def step3(*args):
+        y_new, lam_new = real(*args)
+        calls.append(None)
+        if len(calls) == LASSO_STALL and edit == "zero-sign":
+            zeros = [b == 0.0 for b in y_new.blocks]
+            assert any(z.any() for z in zeros)
+            for b, z in zip(y_new.blocks, zeros):
+                b[z] = -b[z]
+        elif len(calls) == LASSO_STALL:
+            lam_new[1] = np.nextafter(lam_new[1], np.inf)
+        return y_new, lam_new
+
+    monkeypatch.setattr(iadmm.outer, "step3_update", step3)
+    rep = solve(entry.problem, LASSO_STALL_PARAMS)
+    assert rep.iterations == LASSO_STALL + 1
+    assert (_history_arrays(rep.history, LASSO_STALL)
+            == _history_arrays(base.history, LASSO_STALL))
+
+
 @pytest.mark.parametrize("ident", ["qp-1-m2", "lasso-1"])
 def test_first_rows_diagnostics_match_the_public_functions(ident, caplog):
     # the sweep forms objective(z), objective(zbar) and residual(z) once and

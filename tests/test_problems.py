@@ -1,10 +1,12 @@
 """Problem corpus: generators, ids, caching, and the imaging model."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+import iadmm.outer
 from iadmm.blockspace import Grad2D, HaarMap
 from iadmm.errors import ConfigError
 from iadmm.outer import SolverParams, solve
@@ -86,6 +88,19 @@ def test_lasso_generator_and_reference():
     for blk in entry.problem.blocks[1:]:
         assert blk.smooth.is_zero
     assert entry.reference.kkt <= 1e-9
+
+
+@pytest.mark.parametrize("cause", ["stalled", "max-iterations"])
+def test_lasso_refuses_an_unconverged_reference(cause, monkeypatch):
+    real = iadmm.outer.solve
+
+    def short_solve(problem, params):
+        rep = real(problem, dataclasses.replace(params, max_outer=3))
+        return dataclasses.replace(rep, cause=cause)
+
+    monkeypatch.setattr(iadmm.outer, "solve", short_solve)
+    with pytest.raises(ConfigError, match="lasso-1 stopped as %s$" % cause):
+        gen_lasso(1)
 
 
 def test_imaging_structure():
