@@ -247,13 +247,9 @@ class Grad2D(LinearMap):
     def apply(self, x):
         s = self.side
         u = self._check_in(x).reshape(s, s)
-        dh = np.zeros((s, s))
-        dv = np.zeros((s, s))
-        dh[:, :-1] = u[:, 1:] - u[:, :-1]
-        dv[:-1, :] = u[1:, :] - u[:-1, :]
-        out = np.empty((s, s, 2))
-        out[:, :, 0] = dh
-        out[:, :, 1] = dv
+        out = np.zeros((s, s, 2))
+        out[:, :-1, 0] = u[:, 1:] - u[:, :-1]
+        out[:-1, :, 1] = u[1:, :] - u[:-1, :]
         return out.reshape(-1)
 
     def adjoint(self, w):

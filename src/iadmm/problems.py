@@ -66,7 +66,11 @@ class SeparableBlur(LinearMap):
         kernel = np.asarray(kernel, dtype=np.float64).reshape(-1)
         if kernel.size % 2 == 0:
             raise ConfigError("blur kernel must have odd length")
-        if not np.allclose(kernel, kernel[::-1]):
+        if not np.all(np.isfinite(kernel)):
+            raise ConfigError("blur kernel taps must be finite")
+        # exact symmetry makes ``T`` exactly symmetric, so ``adjoint`` is the
+        # exact adjoint of ``apply``
+        if not np.array_equal(kernel, kernel[::-1]):
             raise ConfigError("blur kernel must be symmetric")
         check_count("side", side)
         self.side = int(side)
@@ -166,7 +170,9 @@ def gen_lasso(seed):
     sparse draw.  The reference pair is produced by running the solver in
     exact mode to a tiny residual and certifying the result.
     """
-    from .outer import SolverParams, solve  # local import to avoid a cycle
+    # imported here so that ``solve`` is looked up on ``outer`` at call time:
+    # tests and the bench tracer replace ``iadmm.outer.solve`` and rely on it
+    from .outer import SolverParams, solve
 
     dims, n_rhs, weights = (8, 6), 6, (0.15, 0.1)
     rng = _rng(seed)
@@ -214,7 +220,7 @@ def _piecewise_constant_image(rng, side, n_rects=6):
 
 def gaussian_kernel(sigma=0.8, radius=2):
     """Truncated, normalized 1-d Gaussian kernel."""
-    if sigma <= 0 or radius < 1:
+    if not sigma > 0 or radius < 1:
         raise ConfigError("blur kernel needs sigma > 0 and radius >= 1")
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-t * t / (2.0 * sigma * sigma))

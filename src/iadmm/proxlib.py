@@ -5,7 +5,9 @@ Each block objective is ``f_i + h_i`` with ``f_i`` convex and smooth
 nonsmooth, but with a cheap exact proximal map.  The containers below
 bundle the callables with the metadata the solver needs (Lipschitz
 bound, strong-convexity modulus, and, for quadratics, the Hessian used
-by the desk-scale oracles).
+by the desk-scale oracles).  A smooth term is given by two callables,
+its value and its fused value and gradient; its gradient alone is read
+from the fused one, so each term computes it in one place.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import ConfigError, StructuralError, check_count
 
 @dataclass
 class SmoothTerm:
-    """Convex smooth term: value, gradient, and curvature metadata.
+    """Convex smooth term: value, fused value and gradient, and curvature metadata.
 
     ``lipschitz`` is a bound on the gradient's Lipschitz constant
     (``0.0`` identifies the zero function, ``None`` means unknown).
@@ -29,15 +31,15 @@ class SmoothTerm:
     ``hessian`` and ``linear`` are set for quadratics so oracles can use
     direct solves.
 
-    ``value_grad(x)`` returns ``(value(x), grad(x))`` from one fused
+    A hand-built term supplies ``value`` and ``value_grad``.
+    ``value_grad(x)`` returns ``(value(x), gradient at x)`` from one fused
     evaluation that shares the work of the two, such as ``H x`` of a
     quadratic or the residual ``F u - f`` of a least-squares term; the
-    inner loop calls it once per trial.  Its results must be bitwise
-    those of ``value`` and ``grad``.
+    inner loop calls it once per trial.  Its value must be bitwise that of
+    ``value``, which the descent test calls alone.
     """
 
     value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
     value_grad: Callable[[np.ndarray], tuple]
     lipschitz: Optional[float] = None
     modulus: float = 0.0
@@ -47,6 +49,10 @@ class SmoothTerm:
     @property
     def is_zero(self):
         return self.lipschitz == 0.0
+
+    def grad(self, x):
+        """The gradient at ``x``: the second entry of ``value_grad(x)``."""
+        return self.value_grad(x)[1]
 
 
 @dataclass
@@ -86,10 +92,9 @@ def zero_smooth():
     """The identically-zero smooth term."""
     return SmoothTerm(
         value=lambda x: 0.0,
-        grad=np.zeros_like,
+        value_grad=lambda x: (0.0, np.zeros_like(x)),
         lipschitz=0.0,
         modulus=0.0,
-        value_grad=lambda x: (0.0, np.zeros_like(x)),
     )
 
 
@@ -111,20 +116,14 @@ def quadratic(H, c, modulus=0.0):
     def value(x):
         return 0.5 * float(H.dot(x).dot(x)) + float(c.dot(x))
 
-    def grad(x):
-        g = H.dot(x)
-        g += c
-        return g
-
     def value_grad(x):
         g = H.dot(x)
         val = 0.5 * float(g.dot(x)) + float(c.dot(x))
         g += c
         return val, g
 
-    return SmoothTerm(value=value, grad=grad, lipschitz=lip,
-                      modulus=float(modulus), hessian=H, linear=c.copy(),
-                      value_grad=value_grad)
+    return SmoothTerm(value=value, value_grad=value_grad, lipschitz=lip,
+                      modulus=float(modulus), hessian=H, linear=c.copy())
 
 
 def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
@@ -158,17 +157,13 @@ def quadratic_smooth(F: LinearMap, f, lipschitz=None, modulus=None):
         r = residual(u)
         return float(0.5 * r.dot(r))
 
-    def grad(u):
-        return F.adjoint(residual(u))
-
     def value_grad(u):
         r = residual(u)
         return float(0.5 * r.dot(r)), F.adjoint(r)
 
-    return SmoothTerm(value=value, grad=grad, lipschitz=float(lipschitz),
+    return SmoothTerm(value=value, value_grad=value_grad, lipschitz=float(lipschitz),
                       modulus=float(modulus), hessian=FtF,
-                      linear=None if FtF is None else -F.adjoint(f),
-                      value_grad=value_grad)
+                      linear=None if FtF is None else -F.adjoint(f))
 
 
 def zero_prox():

@@ -15,6 +15,7 @@ import numpy as np
 import iadmm
 from iadmm.outer import SolverParams, solve
 from iadmm.problems import from_id
+from iadmm.proxlib import SmoothTerm
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench", "spans.py")
@@ -29,6 +30,15 @@ def _load_spans():
 
 def _current(owner, attr):
     return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def _assert_same_history(got_history, want_history):
+    for f in dataclasses.fields(want_history):
+        got, want = getattr(got_history, f.name), getattr(want_history, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_tracer_patches_resolve_and_come_off():
@@ -82,12 +92,34 @@ def test_tracer_counts_every_block_solve_past_a_fixed_point():
     assert sum(lab.startswith("inner.run_inner.") for lab in labels) == 800 * entry.problem.m
     per_sweep = [tracer.sweep_iters[(0, k)] for k in range(1, 801)]
     assert min(per_sweep[:769]) > 0 and max(per_sweep[769:]) == 0
-    for f in dataclasses.fields(plain.history):
-        got, want = getattr(traced.history, f.name), getattr(plain.history, f.name)
-        if isinstance(want, np.ndarray):
-            assert got.tobytes() == want.tobytes(), f.name
-        else:
-            assert got == want, f.name
+    _assert_same_history(traced.history, plain.history)
+
+
+def test_tracer_times_the_gradients_of_a_tracked_solve():
+    # a reference-tracked solve takes one gradient per block and sweep, in
+    # ``kkt_error``; the tracer shadows each term's bound ``grad`` method
+    # with an instance attribute and puts the bound method back
+    entry = from_id("qp-1-m2")
+    params = SolverParams(tol=0.0, max_outer=20)
+    plain = solve(entry.problem, params, ref=entry.reference)
+    tracer = _load_spans().Tracer()
+    tracer.patch_modules(iadmm)
+    tracer.patch_instances([entry.problem])
+    tracer.install()
+    try:
+        traced = solve(entry.problem, params, ref=entry.reference)
+    finally:
+        tracer.uninstall()
+
+    labels = [tracer.labels[i] for i in tracer.name]
+    parents = [labels[p] for lab, p in zip(labels, tracer.parent)
+               if lab == "proxlib.smooth.grad"]
+    assert parents == ["diagnostics.kkt_error"] * (20 * entry.problem.m)
+    _assert_same_history(traced.history, plain.history)
+    grads = [(owner, orig) for owner, attr, orig, _ in tracer._patches if attr == "grad"]
+    assert len(grads) == entry.problem.m
+    for owner, orig in grads:
+        assert owner.grad is orig and orig.__func__ is SmoothTerm.grad and orig.__self__ is owner
 
 
 def test_tracer_labels_imaging_maps_and_proxes():

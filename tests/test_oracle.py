@@ -217,7 +217,7 @@ def test_dense_group_block_whose_polish_fails_still_certifies(monkeypatch):
 def _no_bound_block():
     # 0.5 u^T (3 I) u + 2 * 1^T u with its curvature withheld
     quad = quadratic(3.0 * np.eye(3), 2.0 * np.ones(3))
-    smooth = SmoothTerm(value=quad.value, grad=quad.grad, value_grad=quad.value_grad)
+    smooth = SmoothTerm(value=quad.value, value_grad=quad.value_grad)
     return Block(smooth, l1_prox(0.1), DenseMap(np.eye(3)))
 
 

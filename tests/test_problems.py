@@ -204,6 +204,23 @@ def test_gaussian_kernel_properties():
         SeparableBlur(8, np.array([0.5, 0.5]))  # even length
 
 
+@pytest.mark.parametrize("kernel, match", [
+    # off by 1e-9 the factor ``T`` is no longer symmetric, so ``adjoint``
+    # would not be the exact adjoint of ``apply``
+    ([0.25, 0.5, 0.25 + 1e-9], "symmetric"),
+    ([0.25, np.nan, 0.25], "finite"),
+    ([np.inf, 0.5, np.inf], "finite"),
+])
+def test_separable_blur_rejects_inexact_or_nonfinite_kernels(kernel, match):
+    with pytest.raises(ConfigError, match=match):
+        SeparableBlur(8, np.array(kernel))
+
+
+def test_gaussian_kernel_rejects_nan_sigma():
+    with pytest.raises(ConfigError, match="sigma"):
+        gaussian_kernel(np.nan, 2)
+
+
 @pytest.mark.parametrize("side", [-3, 0, 2.5, True])
 def test_separable_blur_rejects_bad_side(side):
     # these used to fail inside ``np.eye``, build an empty map, or truncate

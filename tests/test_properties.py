@@ -1,6 +1,6 @@
 """Property tests: prox maps, operator adjoints, back substitution, the metric
 norms of ``M``, the inner loop's step coupling, the subproblem oracle's two
-paths, repeatable solves.
+paths, the paper's certificates on generated QPs, repeatable solves.
 
 Hypothesis draws the shapes and entries; ``derandomize=True`` fixes the
 examples it draws, so every run checks the same cases.
@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D, HaarMap,
                               ScaledIdentity, VStack, ZeroMap)
+from iadmm.diagnostics import decay_rows, ergodic_rows, strong_rows
 from iadmm.inner import InnerConfig, run_inner
 from iadmm.oracle import subproblem_minimizer
 from iadmm.outer import SolverParams, solve
@@ -285,6 +286,40 @@ def test_oracle_dense_path_matches_operator_path_property(kind, weight, mu, rho,
     for u in (dense, iterative):
         grad = blk.smooth.grad(u) + rho * w_pen + rho * gamma_i * (u - y_i)
         assert np.linalg.norm(u - prox.prox(u - grad, 1.0)) <= 1e-9 * scale
+
+
+# the certificates are asserted row by row on a few dozen tracked sweeps of
+# each draw; a failing row is a defect in the solver or in the bound
+CERTIFICATE_SWEEPS = 40
+ALPHA = st.floats(0.05, 0.95)
+RHO = st.floats(0.1, 10.0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4), alpha=ALPHA, rho=RHO,
+       rule=st.sampled_from(["adaptive", "constant"]))
+def test_energy_decay_and_averaged_gap_certificates_property(seed, m, alpha, rho, rule):
+    entry = gen_qp(seed, m=m)
+    params = SolverParams(alpha=alpha, rho=rho, rule=rule, tol=0.0,
+                          max_outer=CERTIFICATE_SWEEPS)
+    rep = solve(entry.problem, params, ref=entry.reference)
+    rows = decay_rows(rep) + ergodic_rows(rep)
+    assert len(rows) == 2 * CERTIFICATE_SWEEPS - 1
+    assert [r for r in rows if not r.passed] == []
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4), mu=st.floats(0.1, 2.0),
+       alpha=ALPHA, rho=RHO)
+def test_accelerated_rate_certificates_property(seed, m, mu, alpha, rho):
+    # the metric floor ``from_id`` gives its strong-mode ids
+    entry = gen_qp(seed, m=m, mu=mu, p_floor=1.25)
+    params = SolverParams(mode="strong", alpha=alpha, rho=rho, tol=0.0,
+                          max_outer=CERTIFICATE_SWEEPS)
+    rep = solve(entry.problem, params, ref=entry.reference)
+    rows = strong_rows(rep)
+    assert rows
+    assert [r for r in rows if not r.passed] == []
 
 
 def _solve_bytes(problem, params, ref):

@@ -1,11 +1,14 @@
 """Smooth/nonsmooth term constructors and their proximal maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from iadmm.blockspace import DenseMap
 from iadmm.errors import ConfigError, StructuralError
 from iadmm.proxlib import (
+    SmoothTerm,
     group_l2_prox,
     group_shrink,
     l1_prox,
@@ -169,17 +172,22 @@ def test_zero_smooth_is_flagged():
 
 
 def test_value_grad_is_bitwise_value_and_grad():
-    # the fused evaluation must reproduce the separate calls exactly
+    # the fused value must reproduce ``value`` exactly; the gradient has one
+    # source, ``value_grad``, which ``grad`` reads, also on a hand-built term
     rng = np.random.default_rng(0xF5)
     G = rng.standard_normal((7, 5))
     terms = [
         quadratic(G.T @ G, rng.standard_normal(5)),
         quadratic_smooth(DenseMap(G), rng.standard_normal(7)),
         zero_smooth(),
+        SmoothTerm(value=lambda x: float(x.dot(x)),
+                   value_grad=lambda x: (float(x.dot(x)), 2 * x)),
     ]
+    assert [f.name for f in dataclasses.fields(SmoothTerm)] == [
+        "value", "value_grad", "lipschitz", "modulus", "hessian", "linear"]
     for term in terms:
         for _ in range(5):
             x = rng.standard_normal(5)
-            f, g = term.value_grad(x)
+            f = term.value_grad(x)[0]
             assert np.float64(f).tobytes() == np.float64(term.value(x)).tobytes()
-            assert g.tobytes() == term.grad(x).tobytes()
+    assert np.array_equal(terms[-1].grad(x), 2 * x)
