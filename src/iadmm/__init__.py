@@ -14,8 +14,7 @@ from .diagnostics import (CheckRow, RateFit, ReferencePair, energy, kkt_error,
                           lagrangian_gap, rate_fit, two_step_ratio)
 from .errors import (CertificationError, ConfigError, IadmmError,
                      NumericError, StructuralError)
-from .inner import (InnerConfig, InnerResult, InnerTrace, line_search_accept,
-                    params_adaptive, params_constant, run_inner)
+from .inner import InnerResult, InnerTrace, params_adaptive, run_inner
 from .oracle import solve_qp_kkt, subproblem_minimizer
 from .outer import (History, SolveReport, SolverParams, gamma_compatible,
                     solve, step3_update)

@@ -20,18 +20,27 @@ Because the two quadratic penalty terms have combined Hessian exactly
 ``rho * gamma_i * I``, this subproblem is a single prox evaluation with
 step ``1 / (delta + rho * gamma_i)``.
 
-Two parameter rules are supported.  The constant rule uses
-``delta_l = 2 zeta / ((1 - sigma) l)`` and ``alpha_l = 2 / (l + 1)``,
-which needs a Lipschitz bound ``zeta`` for ``grad f_i`` and satisfies
-the descent test automatically.  The adaptive rule backtracks a ratio
-``delta / alpha`` until the descent test holds and derives
-``(delta, alpha)`` from the accumulator ``Lambda = sum_l 1 / delta_l``.
+Two parameter rules are supported; :func:`run_inner` takes the solve's
+own :class:`~iadmm.outer.SolverParams` and reads only its step-size
+``rule`` and descent slack ``sigma`` (the penalty ``rho`` it is handed
+separately is the sweep's ``rho_k``, not ``params.rho``).  The constant
+rule uses ``delta_l = 2 zeta / ((1 - sigma) l)`` and
+``alpha_l = 2 / (l + 1)``, which needs a Lipschitz bound ``zeta`` for
+``grad f_i`` and satisfies the descent test automatically.  The adaptive
+rule backtracks a ratio ``delta / alpha`` until the descent test holds and
+derives ``(delta, alpha)`` from the accumulator
+``Lambda = sum_l 1 / delta_l``.
 Both rules keep the product ``delta_l * alpha_l * gamma_l`` equal to one,
 where ``gamma_1 = 1 / delta_1`` and ``gamma_l = gamma_{l-1} / (1 - alpha_l)``;
 that invariant is what the outer-loop guarantees rest on.
 
-A block whose smooth term is zero pins ``delta_l`` at ``delta_min``
+A block whose smooth term is zero pins ``delta_l`` at ``DELTA_MIN``
 and takes ``alpha_l`` from the same accumulator, whatever the rule.
+
+The loop's fixed bounds are module constants, not settings: the
+proximal-weight range ``DELTA_MIN``/``DELTA_MAX``, the adaptive rule's
+backtracking factor ``ETA`` and backtrack cap ``MAX_BACKTRACKS``, and the
+iteration cap ``MAX_ITERS`` of a loop that stops by its own test.
 
 All three cases run through one loop.  The rule picks
 ``(delta, alpha)``; one trial then evaluates ``f_i`` and its gradient at
@@ -80,39 +89,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, check_count
+from .errors import ConfigError, NumericError
 from .problem import Block
 
 # relative slack for the descent test so exact ties are accepted in floats
 _LS_SLACK = 1e-12
-
-
-@dataclass
-class InnerConfig:
-    """Parameters of the inner loop shared across blocks.
-
-    A caller sets the step-size ``rule``, the descent slack ``sigma`` and
-    the iteration cap ``max_iters``.  The rest are fixed class constants:
-    the proximal-weight bounds ``delta_min``/``delta_max`` (the zero-smooth
-    case pins ``delta_l`` at ``delta_min``), the backtracking factor
-    ``eta`` and the backtrack cap ``max_backtracks`` of the adaptive rule.
-    """
-
-    rule: str = "adaptive"
-    sigma: float = 0.99
-    max_iters: int = 10_000
-
-    delta_min = 1e-6
-    delta_max = 1e6
-    eta = 2.0
-    max_backtracks = 60
-
-    def __post_init__(self):
-        if self.rule not in ("constant", "adaptive"):
-            raise ConfigError("unknown inner rule %r" % (self.rule,))
-        if not 0.0 < self.sigma < 1.0:
-            raise ConfigError("sigma must lie strictly between 0 and 1")
-        check_count("max_iters", self.max_iters)
+# fixed bounds of the loop: the proximal-weight range (a zero smooth term
+# pins delta at DELTA_MIN), the adaptive rule's backtracking factor and
+# backtrack cap, and the iteration cap of a loop that stops by its test
+DELTA_MIN = 1e-6
+DELTA_MAX = 1e6
+ETA = 2.0
+MAX_BACKTRACKS = 60
+MAX_ITERS = 10_000
 
 
 @dataclass
@@ -145,40 +134,7 @@ class InnerTrace:
     backtracks: list = field(default_factory=list)
 
 
-def params_constant(l, zeta, sigma):
-    """Constant-rule pair ``(delta_l, alpha_l)`` for iteration ``l >= 1``.
-
-    Requires a positive Lipschitz bound ``zeta``; with it the descent
-    test holds without backtracking and
-    ``gamma_l = (1 - sigma) l (l + 1) / (4 zeta)``.
-    """
-    if l < 1:
-        raise ConfigError("inner iteration index starts at 1")
-    if zeta is None or zeta <= 0.0:
-        raise ConfigError("constant rule needs a positive Lipschitz bound")
-    if not 0.0 < sigma < 1.0:
-        raise ConfigError("sigma must lie strictly between 0 and 1")
-    delta = 2.0 * zeta / ((1.0 - sigma) * l)
-    alpha = 2.0 / (l + 1.0)
-    return delta, alpha
-
-
-def line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, grad_bar):
-    """Descent test comparing ``f`` at ``a`` with its model around ``a_bar``.
-
-    Accepts when
-    ``f(a_bar) + <grad f(a_bar), a - a_bar> + (1 - sigma) delta / (2 alpha)
-    * ||a - a_bar||^2 >= f(a)`` up to a tiny relative slack, given
-    ``f_bar = f(a_bar)`` and ``grad_bar = grad f(a_bar)``.
-    """
-    f_a = smooth.value(a)
-    d = a - a_bar
-    lhs = f_bar + float(d.dot(grad_bar)) + (1.0 - sigma) * delta / (2.0 * alpha) * float(d.dot(d))
-    return lhs >= f_a - _LS_SLACK * (1.0 + abs(f_a))
-
-
-def params_adaptive(Lambda_prev, delta0, eta, accept,
-                    max_backtracks=InnerConfig.max_backtracks):
+def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=MAX_BACKTRACKS):
     """Backtracking rule: grow ``delta / alpha`` until ``accept`` passes.
 
     For trial ``j`` the candidate pair is derived from
@@ -202,7 +158,7 @@ def params_adaptive(Lambda_prev, delta0, eta, accept,
     )
 
 
-def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
+def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
               Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None, prev=None,
               ay_i=None):
     """Run the inner loop for one block and one outer sweep.
@@ -219,7 +175,13 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         Effective right-hand side for this block (``b`` minus the other
         blocks' contributions in sweep order).
     rho, gamma_i : float
-        Penalty parameter and the block's diagonal weight in ``M``.
+        The sweep's penalty ``rho_k`` (which in strong mode differs from
+        ``params.rho``) and the block's diagonal weight in ``M``.
+    params : SolverParams
+        The solve's parameters; only the step-size ``rule`` and the
+        descent slack ``sigma`` are read.  The loop's other bounds are the
+        module constants ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``,
+        ``MAX_BACKTRACKS`` and ``MAX_ITERS``.
     Gamma_prev : float
         Floor that ``gamma_l`` must reach before the loop may stop.  With
         a fixed penalty it is the accuracy weight ``Gamma_i^{k-1}`` reached
@@ -250,22 +212,22 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
     smooth, op, prox = block.smooth, block.op, block.nonsmooth.prox
     zeta = smooth.lipschitz
     zero_f = (zeta == 0.0)
-    if not zero_f and cfg.rule == "constant" and (zeta is None or zeta <= 0.0):
+    if not zero_f and params.rule == "constant" and (zeta is None or zeta <= 0.0):
         raise ConfigError("constant rule needs a positive Lipschitz bound for nonzero smooth terms")
     if force_iters is not None and force_iters < 1:
         raise ConfigError("force_iters must be at least 1")
     if prev is not None:
         return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0), None
     stop = force_iters is None
-    adaptive = cfg.rule == "adaptive" and not zero_f
-    value_grad, sigma = smooth.value_grad, cfg.sigma
+    adaptive = params.rule == "adaptive" and not zero_f
+    value_grad, sigma = smooth.value_grad, params.sigma
 
     x_i = np.asarray(x_i, dtype=np.float64)
     # the two penalty terms of the prox step are fixed for the whole loop
     rg = rho * gamma_i
     ry = rho * gamma_i * y_i
     rw = rho * op.adjoint((op.apply(y_i) if ay_i is None else ay_i) - b_i + lam / rho)
-    delta0 = min(max(1.0, cfg.delta_min), cfg.delta_max)
+    delta0 = min(max(1.0, DELTA_MIN), DELTA_MAX)
     u_prev = a_prev = x_i
     gamma = Lambda = sum_sq = 0.0
     backtracks = l = 0
@@ -278,10 +240,12 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
 
     def trial(delta, alpha):
         # prox step of the linearized subproblem at ``a_bar``; only the
-        # adaptive rule needs the descent test.  Scalar products are written
-        # array-first, which dispatches faster and is bitwise the same, and
-        # each fresh temporary takes the next term in place (addition
-        # commutes exactly): ``a_bar = a_keep + u_prev alpha``,
+        # adaptive rule runs the descent test, which accepts when ``f_i(a)``
+        # is at most its model ``f_bar + <g, a - a_bar> + (1 - sigma) delta
+        # / (2 alpha) ||a - a_bar||^2`` up to a tiny relative slack.  Scalar
+        # products are written array-first, which dispatches faster and is
+        # bitwise the same, and each fresh temporary takes the next term in
+        # place (addition commutes exactly): ``a_bar = a_keep + u_prev alpha``,
         # ``v = (u_prev delta + ry - g - rw) / scale``, ``a = a_keep + u alpha``.
         nonlocal memo
         if memo is not None and memo[0] == alpha:
@@ -308,24 +272,31 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
                                context={"routine": "run_inner"})
         a = u * alpha
         a += a_keep
-        ok = not adaptive or line_search_accept(smooth, a_bar, a, delta, alpha, sigma, f_bar, g)
-        return ok, (u, a, dsq)
+        if not adaptive:
+            return True, (u, a, dsq)
+        f_a = smooth.value(a)
+        d = a - a_bar
+        lhs = f_bar + float(d.dot(g)) + (1.0 - sigma) * delta / (2.0 * alpha) * float(d.dot(d))
+        return lhs >= f_a - _LS_SLACK * (1.0 + abs(f_a)), (u, a, dsq)
 
     try:
-        for l in range(1, (cfg.max_iters if stop else force_iters) + 1):
+        for l in range(1, (MAX_ITERS if stop else force_iters) + 1):
             memo = None
             if adaptive:
                 delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
-                    Lambda, delta0, cfg.eta, trial, cfg.max_backtracks)
-                delta0 = min(max((delta / alpha) / cfg.eta, cfg.delta_min), cfg.delta_max)
+                    Lambda, delta0, ETA, trial, MAX_BACKTRACKS)
+                delta0 = min(max((delta / alpha) / ETA, DELTA_MIN), DELTA_MAX)
             else:
                 if zero_f:
                     # pinned proximal weight; the mixing weight keeps the
                     # delta * alpha * gamma product at one for any delta sequence
-                    delta = cfg.delta_min
+                    delta = DELTA_MIN
                     alpha = 1.0 if l == 1 else 1.0 / (1.0 + delta * Lambda)
                 else:
-                    delta, alpha = params_constant(l, zeta, sigma)
+                    # constant rule: with zeta the descent test needs no check,
+                    # and gamma_l = (1 - sigma) l (l + 1) / (4 zeta)
+                    delta = 2.0 * zeta / ((1.0 - sigma) * l)
+                    alpha = 2.0 / (l + 1.0)
                 u, a, dsq = trial(delta, alpha)[1]
 
             gamma = 1.0 / delta if l == 1 else gamma / (1.0 - alpha)
@@ -350,7 +321,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, cfg: InnerConfig,
         else:
             if stop:
                 raise NumericError(
-                    "inner loop hit its iteration cap (%d)" % cfg.max_iters,
+                    "inner loop hit its iteration cap (%d)" % MAX_ITERS,
                     best=InnerResult(u, a, gamma, sum_sq / gamma, l))
     except NumericError as err:
         # every numeric failure names the sweep, block and inner iteration

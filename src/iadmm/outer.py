@@ -53,7 +53,7 @@ import numpy as np
 from .blockspace import BlockTriangular, BlockVector
 from .diagnostics import energy, kkt_error, lagrangian_gap
 from .errors import ConfigError, NumericError, check_count
-from .inner import InnerConfig, InnerResult, run_inner
+from .inner import InnerResult, run_inner
 from .oracle import lipschitz_bound, subproblem_minimizer
 from .problem import ProblemSpec
 
@@ -69,8 +69,13 @@ class SolverParams:
     ``mode`` is ``convex`` (fixed penalty ``rho``), ``strong`` (growing
     penalty from the problem's strong-convexity modulus
     ``problem.mu_total()``, which must be positive), or ``exact`` (oracle
-    subproblem solves to ``exact_tol``).  ``rule`` and ``sigma`` pick the
-    inner step-size rule.  The residual is
+    subproblem solves to ``exact_tol``).  ``rule`` (``adaptive`` or
+    ``constant``) and the descent slack ``sigma`` set the inner loop: each
+    sweep hands these parameters to :func:`~iadmm.inner.run_inner`, which
+    reads those two fields and takes the sweep's penalty ``rho_k`` (equal
+    to ``rho`` only in the fixed-penalty modes) as a separate argument.
+    The inner loop's other bounds are constants of :mod:`iadmm.inner`.
+    The residual is
     ``eps_k = ||z - y|| + ||A z - b|| + sqrt(R_k)`` and the forcing
     threshold is ``psi(eps) = eps``: the paper's weights ``theta_1..3`` and
     ``c_psi`` are fixed at 1.  ``gamma_mode`` chooses between
@@ -99,6 +104,10 @@ class SolverParams:
         # every bound is written as ``not x > bound`` so that nan is rejected too
         if self.mode not in ("convex", "strong", "exact"):
             raise ConfigError("unknown mode %r" % (self.mode,))
+        if self.rule not in ("constant", "adaptive"):
+            raise ConfigError("unknown inner rule %r" % (self.rule,))
+        if not 0.0 < self.sigma < 1.0:
+            raise ConfigError("sigma must lie strictly between 0 and 1")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
         for name in ("rho", "gamma_init", "exact_tol"):
@@ -117,11 +126,6 @@ class SolverParams:
                 raise ConfigError("x0 has non-finite entries")
         if self.lam0 is not None and not np.isfinite(self.lam0).all():
             raise ConfigError("lam0 has non-finite entries")
-        # rule and sigma are checked by InnerConfig
-        self.inner_config()
-
-    def inner_config(self):
-        return InnerConfig(rule=self.rule, sigma=self.sigma)
 
 
 @dataclass
@@ -272,16 +276,16 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
             raise ConfigError("strong mode needs a positive strong-convexity modulus")
         theta, k0 = _strong_schedule(M, mu, params.alpha)
 
-    cfg = params.inner_config()
     # one list per history column; rows are not kept, as a dict per sweep
     # would double the history's memory on long solves
     cols = collections.defaultdict(list)
     Gammas = []
     events = []
     Gamma = [0.0] * m
-    # each block's last inner result, which run_inner hands back unrun
-    # once a sweep is known to repeat its inputs bit for bit
-    prev = [None] * m
+    # this sweep's result per block, overwritten in place block by block:
+    # run_inner hands a block's entry back unrun once the sweep is known to
+    # repeat the last one's inputs bit for bit
+    results = [None] * m
     repeat = False
     eps_prev = float("inf")
     zbar_sum = BlockVector.zeros(dims)
@@ -290,8 +294,6 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     cause = "max-iterations"
     certificate = None
     cbar = None
-    eps_k = float("nan")
-    z = x.copy()
 
     for k in range(1, params.max_outer + 1):
         rho_k = (k0 + k) * theta if strong else params.rho
@@ -299,10 +301,6 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         # --- step 1: sequential block sweep -------------------------------
         ay = [op.apply(yi) for op, yi in zip(ops, y.blocks)]
         c_full = np.sum(ay, axis=0) if m > 1 else ay[0].copy()
-        z_blocks = [None] * m
-        x_blocks = [None] * m
-        Gamma_new = [0.0] * m
-        r_vals = [0.0] * m
         for i in range(m):
             b_i = problem.b - c_full + ay[i]
             if exact:
@@ -322,25 +320,21 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                     floor = Gamma[i] * k / (k - 1.0)
                 res, _ = run_inner(
                     problem.blocks[i], x.blocks[i], y.blocks[i], lam, b_i,
-                    rho_k, gammas[i], cfg, Gamma_prev=floor, psi_eps=eps_prev,
-                    ctx=(k, i), prev=prev[i] if repeat else None, ay_i=ay[i])
-                prev[i] = res
-            x_blocks[i] = res.x_next
-            z_blocks[i] = res.z
-            Gamma_new[i] = res.Gamma
-            r_vals[i] = res.r
+                    rho_k, gammas[i], params, Gamma_prev=floor, psi_eps=eps_prev,
+                    ctx=(k, i), prev=results[i] if repeat else None, ay_i=ay[i])
+            results[i] = res
             # c_full is this sweep's own array, so it is updated in place
             c_full -= ay[i]
             c_full += ops[i].apply(res.z)
 
-        z = BlockVector._wrap(z_blocks, dims)
-        x_next = BlockVector._wrap(x_blocks, dims)
-        Gamma = Gamma_new
+        z = BlockVector._wrap([res.z for res in results], dims)
+        x_next = BlockVector._wrap([res.x_next for res in results], dims)
+        Gamma = [res.Gamma for res in results]
         residual = c_full - problem.b
         feas = math.sqrt(residual.dot(residual))
         yz_diff = y - z
         yz = yz_diff.norm()
-        R = max(sum(r_vals), 0.0)
+        R = max(sum(res.r for res in results), 0.0)
         eps_k = yz + feas + math.sqrt(R)
         if not math.isfinite(eps_k):
             raise NumericError("residual eps_k is not finite",

@@ -20,7 +20,7 @@ from .diagnostics import (
     two_step_ratio,
 )
 from .errors import ConfigError
-from .inner import InnerConfig, run_inner
+from .inner import run_inner
 from .oracle import subproblem_minimizer
 from .outer import SolverParams, solve
 from .problems import from_id
@@ -142,12 +142,12 @@ def inner_rows(seed=0):
             lam = rng.standard_normal(blk.op.rows)
             b_i = rng.standard_normal(blk.op.rows)
             rho, gamma_i = 1.0, 2.0
-            cfg = InnerConfig(rule=rule, sigma=0.9)
+            params = SolverParams(rule=rule, sigma=0.9)
             xbar = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
             mu_h = blk.nonsmooth.modulus
             start_sq = float((x_i - xbar) @ (x_i - xbar))
             _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i,
-                              cfg, Gamma_prev=0.0, psi_eps=np.inf,
+                              params, Gamma_prev=0.0, psi_eps=np.inf,
                               force_iters=max_len, trace=True)
             worst_xi = max(worst_xi, float(np.max(np.abs(np.asarray(tr.xis) - 1.0))))
             worst_gap, acc = -np.inf, 0.0
@@ -156,7 +156,7 @@ def inner_rows(seed=0):
                 acc += tr.xis[L - 1] * float(du @ du)
                 a_gap = tr.a_s[L - 1] - xbar
                 lhs = ((rho * gamma_i + 0.5 * mu_h * L) * float(a_gap @ a_gap)
-                       + cfg.sigma / tr.gammas[L - 1] * acc)
+                       + params.sigma / tr.gammas[L - 1] * acc)
                 rhs = start_sq / tr.gammas[L - 1]
                 worst_gap = max(worst_gap, lhs - rhs)
             rows.append(_row("inner-estimate-%s-%d" % (rule, s), max_len,

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from iadmm import inner
 from iadmm.errors import ConfigError, NumericError
 from iadmm.inner import InnerResult, InnerTrace
 
@@ -90,18 +91,18 @@ def run_inner_reference(block, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
     x_i = np.asarray(x_i, dtype=np.float64)
     st = InnerState(u_prev=x_i.copy(), a_prev=x_i.copy())
     w_pen = op.adjoint(op.apply(y_i) - b_i + lam / rho)
-    delta0 = min(max(1.0, cfg.delta_min), cfg.delta_max)
+    delta0 = min(max(1.0, inner.DELTA_MIN), inner.DELTA_MAX)
     tr = InnerTrace() if trace else None
     if tr is not None:
         tr.us.append(st.u_prev.copy())
 
-    max_l = force_iters if force_iters is not None else cfg.max_iters
+    max_l = force_iters if force_iters is not None else inner.MAX_ITERS
     stopped = False
     for l in range(1, max_l + 1):
         st.l = l
         backtracks = 0
         if zero_f:
-            delta = cfg.delta_min
+            delta = inner.DELTA_MIN
             alpha = 1.0 if l == 1 else 1.0 / (1.0 + delta * st.Lambda)
             a_bar = (1.0 - alpha) * st.a_prev + alpha * st.u_prev
             grad = smooth.grad(a_bar)
@@ -126,12 +127,12 @@ def run_inner_reference(block, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
 
             try:
                 delta, alpha, backtracks, payload = params_adaptive(
-                    st.Lambda, delta0, cfg.eta, accept, cfg.max_backtracks)
+                    st.Lambda, delta0, inner.ETA, accept, inner.MAX_BACKTRACKS)
             except NumericError as err:
                 err.context.update(_ctx(ctx, l))
                 raise
             a_bar, u, a = payload
-            delta0 = min(max((delta / alpha) / cfg.eta, cfg.delta_min), cfg.delta_max)
+            delta0 = min(max((delta / alpha) / inner.ETA, inner.DELTA_MIN), inner.DELTA_MAX)
 
         st.delta, st.alpha, st.a_bar = delta, alpha, a_bar
         st.gamma = 1.0 / delta if l == 1 else st.gamma / (1.0 - alpha)
@@ -162,7 +163,7 @@ def run_inner_reference(block, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
 
     if not stopped:
         raise NumericError(
-            "inner loop hit its iteration cap (%d)" % cfg.max_iters,
+            "inner loop hit its iteration cap (%d)" % inner.MAX_ITERS,
             context=_ctx(ctx, st.l),
             best=InnerResult(st.u, st.a, st.gamma, st.sum_sq / st.gamma, st.l),
         )

@@ -20,7 +20,7 @@ from iadmm.diagnostics import (
     strong_rows,
     two_step_ratio,
 )
-from iadmm.inner import InnerConfig, run_inner
+from iadmm.inner import run_inner
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block, ProblemSpec
@@ -80,13 +80,13 @@ def test_criterion_01_step_size_coupling(qp_entries, capsys):
         problem = entry.problem
         rng = np.random.default_rng(entry.seed)
         for rule in ("constant", "adaptive"):
-            cfg = InnerConfig(rule=rule, sigma=0.99)
+            params = SolverParams(rule=rule, sigma=0.99)
             for i, blk in enumerate(problem.blocks):
                 x_i = rng.standard_normal(blk.dim)
                 y_i = np.zeros(blk.dim)
                 lam = np.zeros(problem.rhs_dim)
                 _, tr = run_inner(blk, x_i, y_i, lam, problem.b, 1.0,
-                                  problem.gammas_power()[i], cfg,
+                                  problem.gammas_power()[i], params,
                                   Gamma_prev=0.0, psi_eps=np.inf,
                                   force_iters=50, trace=True)
                 xis = np.asarray(tr.xis)
@@ -118,8 +118,8 @@ def test_criterion_02_inner_estimate(capsys):
         start_sq = float((x_i - xbar) @ (x_i - xbar))
         mu_h = blk.nonsmooth.modulus
         for rule in ("constant", "adaptive"):
-            cfg = InnerConfig(rule=rule, sigma=0.9)
-            _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
+            params = SolverParams(rule=rule, sigma=0.9)
+            _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, params,
                               Gamma_prev=0.0, psi_eps=np.inf,
                               force_iters=60, trace=True)
             acc = 0.0
@@ -128,7 +128,7 @@ def test_criterion_02_inner_estimate(capsys):
                 acc += tr.xis[L - 1] * float(du @ du)
                 gap_sq = float((tr.a_s[L - 1] - xbar) @ (tr.a_s[L - 1] - xbar))
                 lhs = ((rho * gamma_i + 0.5 * mu_h * L) * gap_sq
-                       + cfg.sigma / tr.gammas[L - 1] * acc)
+                       + params.sigma / tr.gammas[L - 1] * acc)
                 rhs = start_sq / tr.gammas[L - 1]
                 worst = max(worst, lhs - rhs)
                 checked += 1

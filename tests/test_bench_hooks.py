@@ -72,6 +72,31 @@ def test_tracer_patches_resolve_and_come_off():
         assert _current(owner, attr) is orig, (owner, attr)
 
 
+def test_tracer_notes_the_constant_rule():
+    # the tracer labels each inner solve and its ``iters.<rule>`` note by
+    # the rule of run_inner's eighth positional argument, the solve's
+    # parameters; the constant rule runs no backtracking driver
+    entry = from_id("qp-1-m2")
+    params = SolverParams(rule="constant", tol=0.0, max_outer=20)
+    plain = solve(entry.problem, params)
+    tracer = _load_spans().Tracer()
+    tracer.patch_modules(iadmm)
+    tracer.install()
+    try:
+        traced = solve(entry.problem, params)
+    finally:
+        tracer.uninstall()
+
+    labels = [tracer.labels[i] for i in tracer.name]
+    assert labels.count("inner.run_inner.constant") == 20 * entry.problem.m
+    assert not any(lab in ("inner.run_inner.adaptive", "inner.params_adaptive")
+                   for lab in labels)
+    notes = tracer.notes
+    assert notes["iters.constant"] == notes["iters"] > 0
+    assert notes["iters.adaptive"] == notes["backtracks"] == 0
+    _assert_same_history(traced.history, plain.history)
+
+
 def test_tracer_counts_every_block_solve_past_a_fixed_point():
     # qp-2-m2 at alpha 0.5 repeats its whole state bit for bit from sweep
     # 770 on; a fixed-horizon solve still calls the inner loop once per

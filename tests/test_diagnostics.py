@@ -307,6 +307,17 @@ def test_decay_and_ergodic_rows_refuse_runs_outside_their_hypotheses():
         for rows in (decay_rows, ergodic_rows):
             with pytest.raises(ConfigError, match=reason):
                 rows(report)
+    # the accelerated bounds mix a cbar formed at sweep 1 with the final
+    # theta and k0; after the bumps of sweeps 1 and 5 of this run, 38 of its
+    # 78 rows read false FAILs (from weighted-gap t=2) when not refused
+    entry = from_id("qp-2-m2-mu0.5")
+    strong_bumped = solve(entry.problem, SolverParams(
+        mode="strong", alpha=0.5, gamma_mode="safeguard", gamma_init=1e-3, tol=0.0,
+        max_outer=20), ref=entry.reference)
+    assert strong_bumped.cbar is not None
+    for report in (bumped, strong_bumped):
+        with pytest.raises(ConfigError, match="gamma safeguard"):
+            strong_rows(report)
 
 
 def test_strong_rows_on_tracked_run():

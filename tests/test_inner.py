@@ -1,6 +1,7 @@
 """Inner accelerated loop: step sizes, prox steps, stopping, estimates."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -8,14 +9,9 @@ import pytest
 import iadmm.inner
 from iadmm.blockspace import DenseMap
 from iadmm.errors import ConfigError, NumericError
-from iadmm.inner import (
-    InnerConfig,
-    line_search_accept,
-    params_adaptive,
-    params_constant,
-    run_inner,
-)
+from iadmm.inner import params_adaptive, run_inner
 from iadmm.oracle import subproblem_minimizer
+from iadmm.outer import SolverParams
 from iadmm.problem import Block
 from iadmm.proxlib import ProxTerm, l1_prox, quadratic, zero_prox, zero_smooth
 from reference_inner import run_inner_reference
@@ -42,48 +38,58 @@ def _inner_inputs(seed, blk):
     return x_i, y_i, lam, b_i
 
 
+def _scalar_block(L):
+    """One-dimensional block ``f = 0.5 L x^2`` (Lipschitz bound exactly ``L``)."""
+    return Block(quadratic(np.array([[L]]), np.zeros(1)), zero_prox(),
+                 DenseMap(np.array([[1.0], [0.5]])))
+
+
+def _scalar_trace(L, rule, sigma, iters):
+    blk = _scalar_block(L)
+    _, tr = run_inner(blk, np.array([1.0]), np.zeros(1), np.zeros(2), np.ones(2), 1.0, 2.0,
+                      SolverParams(rule=rule, sigma=sigma), Gamma_prev=0.0,
+                      psi_eps=np.inf, force_iters=iters, trace=True)
+    return tr
+
+
 def test_params_constant_examples():
-    # l=1: delta = 2*zeta/((1-sigma)*1), alpha = 2/(1+1) = 1
-    delta, alpha = params_constant(1, zeta=2.0, sigma=0.5)
-    assert delta == pytest.approx(8.0)
-    assert alpha == pytest.approx(1.0)
+    # l=1, zeta=2, sigma=1/2: delta = 2*zeta/((1-sigma)*1) = 8, alpha = 2/(1+1) = 1
+    tr = _scalar_trace(2.0, "constant", 0.5, 1)
+    assert tr.deltas[0] == pytest.approx(8.0)
+    assert tr.alphas[0] == pytest.approx(1.0)
     # l=3, zeta=1, sigma=1/2: delta = 4/3, alpha = 1/2, and with
     # gamma^3 = (1-sigma)*3*4/(4*zeta) = 3/2 the product is exactly 1
-    delta, alpha = params_constant(3, zeta=1.0, sigma=0.5)
-    assert delta == pytest.approx(4.0 / 3.0)
-    assert alpha == pytest.approx(0.5)
-    assert delta * alpha * 1.5 == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        params_constant(3, zeta=1.0, sigma=0.0)
+    tr = _scalar_trace(1.0, "constant", 0.5, 3)
+    assert tr.deltas[2] == pytest.approx(4.0 / 3.0)
+    assert tr.alphas[2] == pytest.approx(0.5)
+    assert tr.gammas[2] == pytest.approx(1.5)
+    assert tr.deltas[2] * tr.alphas[2] * tr.gammas[2] == pytest.approx(1.0)
+    assert tr.backtracks == [0, 0, 0]
 
 
 def test_constant_rule_gamma_closed_form():
-    # gamma^l = (1-sigma) l (l+1) / (4 zeta)
+    # delta^l = 2 zeta / ((1-sigma) l), alpha^l = 2 / (l+1) and
+    # gamma^l = (1-sigma) l (l+1) / (4 zeta) along a forced constant-rule run
     zeta, sigma = 1.5, 0.25
-    gamma = None
+    tr = _scalar_trace(zeta, "constant", sigma, 11)
     for l in range(1, 12):
-        delta, alpha = params_constant(l, zeta, sigma)
-        gamma = 1.0 / delta if l == 1 else gamma / (1.0 - alpha)
+        assert tr.deltas[l - 1] == pytest.approx(2.0 * zeta / ((1.0 - sigma) * l), rel=1e-15)
+        assert tr.alphas[l - 1] == pytest.approx(2.0 / (l + 1.0), rel=1e-15)
         closed = (1.0 - sigma) * l * (l + 1) / (4.0 * zeta)
-        assert gamma == pytest.approx(closed, rel=1e-12)
+        assert tr.gammas[l - 1] == pytest.approx(closed, rel=1e-12)
 
 
 def test_line_search_accept_quadratic():
-    # f = 0.5 L x^2: the descent test holds iff delta/alpha >= L (sigma=0)
-    L = 4.0
-    term = quadratic(np.array([[L]]), np.zeros(1))
-    a_bar = np.array([1.0])
-    a = np.array([0.0])
-    f_bar, grad_bar = term.value_grad(a_bar)
-
-    def accept(delta, sigma):
-        return line_search_accept(term, a_bar, a, delta, 1.0, sigma, f_bar, grad_bar)
-
-    assert accept(4.0, 0.0)
-    assert not accept(3.9, 0.0)
-    # positive sigma tightens the requirement to delta/alpha >= L/(1-sigma)
-    assert accept(8.0, 0.5)
-    assert not accept(7.9, 0.5)
+    # f = 0.5 L x^2 at sigma = 1/2: the descent test holds iff
+    # delta/alpha >= L/(1-sigma).  With L = 4 iteration 1 tries delta/alpha
+    # = 1, 2, 4, 8 and accepts the tie at 8; every later iteration starts at
+    # 8/eta = 4, fails it and accepts 8 again.  With L = 4.05 the bound is
+    # 8.1, so 8 fails too and every iteration accepts one doubling later
+    for L, ratio, backtracks in ((4.0, 8.0, [3, 1, 1, 1, 1]), (4.05, 16.0, [4, 1, 1, 1, 1])):
+        tr = _scalar_trace(L, "adaptive", 0.5, 5)
+        assert tr.backtracks == backtracks
+        assert [d / a for d, a in zip(tr.deltas, tr.alphas)] == pytest.approx([ratio] * 5,
+                                                                              rel=1e-15)
 
 
 def test_params_adaptive_first_step_alpha_one():
@@ -136,7 +142,7 @@ def test_prox_step_stationarity_and_l1_formula():
     L = 6
     for rule in ("constant", "adaptive"):
         _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i,
-                          InnerConfig(rule=rule, sigma=0.9), Gamma_prev=0.0,
+                          SolverParams(rule=rule, sigma=0.9), Gamma_prev=0.0,
                           psi_eps=np.inf, force_iters=L, trace=True)
         a_prev = x_i
         for l in range(L):
@@ -155,8 +161,8 @@ def test_step1b_check_arithmetic():
     # loop gives the trace to recompute that index from
     blk = _block(35)
     x_i, y_i, lam, b_i = _inner_inputs(35, blk)
-    cfg = InnerConfig(rule="adaptive", sigma=0.9)
-    _, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+    params = SolverParams(rule="adaptive", sigma=0.9)
+    _, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, params,
                       Gamma_prev=0.0, psi_eps=np.inf, force_iters=200, trace=True)
     gammas = np.asarray(tr.gammas)
     gaps = np.array([np.linalg.norm(a - x_i) for a in tr.a_s])
@@ -178,7 +184,7 @@ def test_step1b_check_arithmetic():
             assert want == expect
         else:
             assert 1 < want <= 30
-        res, _ = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+        res, _ = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, params,
                            Gamma_prev=floor, psi_eps=psi_eps)
         assert res.iters == want
         assert res.Gamma == tr.gammas[want - 1]
@@ -198,8 +204,8 @@ def test_run_inner_fixed_point_stops_immediately():
     y_i = xbar
     b_i = blk.op.apply(xbar)
     xbar = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
-    cfg = InnerConfig(rule="adaptive")
-    res, _ = run_inner(blk, xbar, y_i, lam, b_i, rho, gamma_i, cfg,
+    params = SolverParams(rule="adaptive")
+    res, _ = run_inner(blk, xbar, y_i, lam, b_i, rho, gamma_i, params,
                        Gamma_prev=0.0, psi_eps=np.inf, force_iters=1,
                        trace=False)
     assert np.linalg.norm(res.x_next - xbar) <= 1e-9
@@ -211,11 +217,11 @@ def test_run_inner_hands_back_prev_unrun():
     # iteration runs, and prev's own arrays come back
     blk = _block(5)
     args = _inner_inputs(5, blk) + (1.0, 2.0)
-    cfg = InnerConfig(sigma=0.9)
+    params = SolverParams(sigma=0.9)
     kw = dict(Gamma_prev=0.0, psi_eps=2.0)
-    first, _ = run_inner(blk, *args, cfg, **kw)
+    first, _ = run_inner(blk, *args, params, **kw)
     assert first.iters > 0
-    again, tr = run_inner(blk, *(v * 2.0 for v in args), cfg, **kw, trace=True, prev=first)
+    again, tr = run_inner(blk, *(v * 2.0 for v in args), params, **kw, trace=True, prev=first)
     assert tr is None
     _assert_same((again, None), (dataclasses.replace(first, iters=0), None))
     assert again.x_next is first.x_next and again.z is first.z
@@ -244,15 +250,16 @@ def _trial_alphas(monkeypatch):
 def test_trials_at_a_repeated_alpha_reuse_the_gradient(case, monkeypatch):
     # at Lambda = 0 every trial of iteration 1 has alpha = 1 and linearizes
     # at the same a_bar, so f_i and its gradient there are evaluated once.
-    # In the boundary case a huge eta and a tiny delta_min make iteration 2
+    # In the boundary case a huge ETA and a tiny DELTA_MIN make iteration 2
     # start at alpha = 1 too, from a new point: a reuse that outlived its
     # iteration would skip that evaluation
     blk = _block(7)
-    cfg = InnerConfig(sigma=0.9)
+    params = SolverParams(sigma=0.9)
     if case == "boundary":
         blk = dataclasses.replace(blk, smooth=quadratic(0.01 * blk.smooth.hessian,
                                                         blk.smooth.linear))
-        cfg.eta, cfg.delta_min = 1e20, 1e-30
+        monkeypatch.setattr(iadmm.inner, "ETA", 1e20)
+        monkeypatch.setattr(iadmm.inner, "DELTA_MIN", 1e-30)
     calls = []
 
     def counted(x, value_grad=blk.smooth.value_grad):
@@ -261,7 +268,7 @@ def test_trials_at_a_repeated_alpha_reuse_the_gradient(case, monkeypatch):
 
     counting = dataclasses.replace(blk, smooth=dataclasses.replace(blk.smooth,
                                                                    value_grad=counted))
-    args = _inner_inputs(7, blk) + (1.0, 2.0, cfg)
+    args = _inner_inputs(7, blk) + (1.0, 2.0, params)
     kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=6, trace=True)
     alphas = _trial_alphas(monkeypatch)
     new = run_inner(counting, *args, **kw)
@@ -282,8 +289,8 @@ def test_xi_coupling_invariant(rule):
     # delta^l * alpha^l * gamma^l = 1 at every inner iteration
     blk = _block(5)
     x_i, y_i, lam, b_i = _inner_inputs(5, blk)
-    cfg = InnerConfig(rule=rule, sigma=0.9)
-    res, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+    params = SolverParams(rule=rule, sigma=0.9)
+    res, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, params,
                         Gamma_prev=0.0, psi_eps=np.inf, force_iters=60,
                         trace=True)
     xis = np.asarray(tr.xis)
@@ -294,8 +301,8 @@ def test_xi_coupling_invariant(rule):
 def test_gamma_is_increasing(rule):
     blk = _block(9)
     x_i, y_i, lam, b_i = _inner_inputs(9, blk)
-    cfg = InnerConfig(rule=rule, sigma=0.9)
-    res, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+    params = SolverParams(rule=rule, sigma=0.9)
+    res, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, params,
                         Gamma_prev=0.0, psi_eps=np.inf, force_iters=40,
                         trace=True)
     g = np.asarray(tr.gammas)
@@ -308,9 +315,9 @@ def test_averaged_point_is_weighted_combination(rule):
     # a^L = (1/gamma^L) sum_l gamma^l alpha^l u^l holds for both rules
     blk = _block(13)
     x_i, y_i, lam, b_i = _inner_inputs(13, blk)
-    cfg = InnerConfig(rule=rule, sigma=0.9)
+    params = SolverParams(rule=rule, sigma=0.9)
     L = 25
-    res, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+    res, tr = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, params,
                         Gamma_prev=0.0, psi_eps=np.inf, force_iters=L,
                         trace=True)
     acc = np.zeros(blk.dim)
@@ -328,18 +335,18 @@ def test_inner_estimate_against_oracle(rule, seed):
     blk = _block(20 + seed)
     x_i, y_i, lam, b_i = _inner_inputs(20 + seed, blk)
     rho, gamma_i = 1.0, 2.0
-    cfg = InnerConfig(rule=rule, sigma=0.9)
+    params = SolverParams(rule=rule, sigma=0.9)
     xbar = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i)
     start_sq = float((x_i - xbar) @ (x_i - xbar))
     mu_h = blk.nonsmooth.modulus
     for L in range(1, 41):
-        res, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
+        res, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, params,
                             Gamma_prev=0.0, psi_eps=np.inf, force_iters=L,
                             trace=True)
         acc = sum(x * float((tr.us[j + 1] - tr.us[j]) @ (tr.us[j + 1] - tr.us[j]))
                   for j, x in enumerate(tr.xis))
         a_gap = float((res.z - xbar) @ (res.z - xbar))
-        lhs = (rho * gamma_i + 0.5 * mu_h * L) * a_gap + cfg.sigma / res.Gamma * acc
+        lhs = (rho * gamma_i + 0.5 * mu_h * L) * a_gap + params.sigma / res.Gamma * acc
         assert lhs <= start_sq / res.Gamma + 1e-8
 
 
@@ -348,21 +355,21 @@ def test_run_inner_stops_by_criterion_near_solution():
     # once the floor is reached, and later restarts inherit the floor
     blk = _block(31, weight=0.0)
     x_i, y_i, lam, b_i = _inner_inputs(31, blk)
-    cfg = InnerConfig(rule="adaptive", sigma=0.9)
-    res1, _ = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+    params = SolverParams(rule="adaptive", sigma=0.9)
+    res1, _ = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, params,
                         Gamma_prev=0.0, psi_eps=np.inf, trace=False)
     assert res1.iters == 1  # infinite tolerance stops at the first chance
-    res2, _ = run_inner(blk, res1.x_next, y_i, lam, b_i, 1.0, 2.0, cfg,
+    res2, _ = run_inner(blk, res1.x_next, y_i, lam, b_i, 1.0, 2.0, params,
                         Gamma_prev=res1.Gamma, psi_eps=1e-3, trace=False)
     assert res2.Gamma > res1.Gamma  # the floor forces strict growth
 
 
-def test_run_inner_cap_raises_with_context():
+def test_run_inner_cap_raises_with_context(monkeypatch):
     blk = _block(33)
     x_i, y_i, lam, b_i = _inner_inputs(33, blk)
-    cfg = InnerConfig(rule="adaptive", sigma=0.9, max_iters=3)
-    with pytest.raises(NumericError) as info:
-        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+    monkeypatch.setattr(iadmm.inner, "MAX_ITERS", 3)
+    with pytest.raises(NumericError, match=r"iteration cap \(3\)") as info:
+        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, SolverParams(rule="adaptive", sigma=0.9),
                   Gamma_prev=0.0, psi_eps=0.0, ctx=(4, 1))
     assert info.value.context["outer_iteration"] == 4
     assert info.value.context["block"] == 1
@@ -373,7 +380,7 @@ def test_run_inner_force_iters_must_be_positive():
     blk = _block(33)
     x_i, y_i, lam, b_i = _inner_inputs(33, blk)
     with pytest.raises(ConfigError, match="force_iters"):
-        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, InnerConfig(),
+        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, SolverParams(),
                   Gamma_prev=0.0, psi_eps=np.inf, force_iters=0)
 
 
@@ -392,7 +399,7 @@ def test_non_finite_prox_step_raises_with_context(rule, zero_f):
     blk = Block(blk.smooth, ProxTerm(value=lambda y: 0.0, prox=bad_prox), blk.op)
     x_i, y_i, lam, b_i = _inner_inputs(37, blk)
     with pytest.raises(NumericError, match="non-finite") as info:
-        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, InnerConfig(rule=rule),
+        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, SolverParams(rule=rule),
                   Gamma_prev=0.0, psi_eps=np.inf, force_iters=10, ctx=(7, 2))
     ctx = info.value.context
     assert (ctx["outer_iteration"], ctx["block"]) == (7, 2)
@@ -418,7 +425,7 @@ def _inner_case(case, seed):
     blk = _block(seed)
     if case == "pinned":
         blk = Block(zero_smooth(), blk.nonsmooth, blk.op)
-    return blk, InnerConfig(rule="adaptive" if case == "pinned" else case)
+    return blk, SolverParams(rule="adaptive" if case == "pinned" else case)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -427,16 +434,16 @@ def test_one_non_finite_prox_entry_raises_at_its_trial(case, bad):
     # the scalar test on the step's squared norm catches a single bad
     # entry and hands it to the array test, at the trial that made it
     spoiled_call = 4
-    blk, cfg = _inner_case(case, 41)
+    blk, params = _inner_case(case, 41)
     x_i, y_i, lam, b_i = _inner_inputs(41, blk)
-    _, tr = run_inner(Block(blk.smooth, zero_prox(), blk.op), x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+    _, tr = run_inner(Block(blk.smooth, zero_prox(), blk.op), x_i, y_i, lam, b_i, 1.0, 2.0, params,
                       Gamma_prev=0.0, psi_eps=np.inf, force_iters=10, trace=True)
     trials = np.cumsum(np.asarray(tr.backtracks) + 1)
     expected_l = int(np.searchsorted(trials, spoiled_call)) + 1
 
     spoiled, calls = _prox_spoiling_call(spoiled_call, 2, bad)
     with pytest.raises(NumericError, match="prox step produced non-finite values") as info:
-        run_inner(Block(blk.smooth, spoiled, blk.op), x_i, y_i, lam, b_i, 1.0, 2.0, cfg,
+        run_inner(Block(blk.smooth, spoiled, blk.op), x_i, y_i, lam, b_i, 1.0, 2.0, params,
                   Gamma_prev=0.0, psi_eps=np.inf, force_iters=10, ctx=(5, 1))
     assert len(calls) == spoiled_call
     assert info.value.context == {"routine": "run_inner", "inner_iteration": expected_l,
@@ -448,45 +455,30 @@ def test_one_non_finite_prox_entry_raises_at_its_trial(case, bad):
 def test_overflowing_finite_step_is_not_an_error(case):
     # a finite step whose squared norm overflows to inf passes the scalar
     # test's cold path, and the loop still matches its frozen reference
-    blk, cfg = _inner_case(case, 43)
+    blk, params = _inner_case(case, 43)
     x_i, y_i, lam, b_i = _inner_inputs(43, blk)
     spoiled, _ = _prox_spoiling_call(2, 0, 1e200)
     blk = Block(blk.smooth, spoiled, blk.op)
     kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=4, trace=True)
-    new = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, cfg, **kw)
+    new = run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, params, **kw)
     spoiled_ref, _ = _prox_spoiling_call(2, 0, 1e200)
     ref = run_inner_reference(Block(blk.smooth, spoiled_ref, blk.op),
-                              x_i, y_i, lam, b_i, 1.0, 2.0, cfg, **kw)
+                              x_i, y_i, lam, b_i, 1.0, 2.0, params, **kw)
     _assert_same(new, ref)
     res, tr = new
     assert tr.step_sq[1] == np.inf
     assert np.isfinite(res.x_next).all() and res.r == np.inf
 
 
-@pytest.mark.parametrize("field", ["max_iters"])
-def test_inner_config_rejects_bad_counts(field):
-    with pytest.raises(ConfigError, match=field):
-        InnerConfig(**{field: 0})
-
-
-@pytest.mark.parametrize("value", [2.5, True])
-def test_inner_config_rejects_non_integer_max_iters(value):
-    # a float cap used to fail later inside run_inner, a bool one capped at 1
-    with pytest.raises(ConfigError, match="max_iters"):
-        InnerConfig(max_iters=value)
-
-
-def test_inner_config_validation():
-    with pytest.raises(ConfigError):
-        InnerConfig(rule="newton")
-    with pytest.raises(ConfigError):
-        InnerConfig(sigma=1.0)
-
-
-def test_inner_config_fields_and_constants():
-    # the step bounds and backtracking knobs are class constants, not fields
-    assert [f.name for f in dataclasses.fields(InnerConfig)] == ["rule", "sigma", "max_iters"]
-    cfg = InnerConfig()
-    assert (cfg.delta_min, cfg.delta_max, cfg.eta, cfg.max_backtracks) == (1e-6, 1e6, 2.0, 60)
-    with pytest.raises(TypeError):
-        InnerConfig(eta=3.0)
+def test_inner_loop_bounds_are_module_constants():
+    # the loop's bounds are fixed constants, not settings, and run_inner
+    # reads only the rule and sigma of the parameters it is handed
+    assert (iadmm.inner.DELTA_MIN, iadmm.inner.DELTA_MAX, iadmm.inner.ETA,
+            iadmm.inner.MAX_BACKTRACKS, iadmm.inner.MAX_ITERS) == (1e-6, 1e6, 2.0, 60, 10_000)
+    blk = _block(45)
+    args = _inner_inputs(45, blk) + (1.0, 2.0)
+    kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=8, trace=True)
+    for rule in ("constant", "adaptive"):
+        bare = types.SimpleNamespace(rule=rule, sigma=0.9)
+        _assert_same(run_inner(blk, *args, bare, **kw),
+                     run_inner(blk, *args, SolverParams(rule=rule, sigma=0.9), **kw))

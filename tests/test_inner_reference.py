@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+import iadmm.inner
 import iadmm.outer
 from iadmm.blockspace import DenseMap
 from iadmm.errors import NumericError
-from iadmm.inner import InnerConfig, run_inner
+from iadmm.inner import run_inner
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block
 from iadmm.problems import from_id
@@ -74,10 +75,10 @@ CASES = [(s, p, r) for s in ("quadratic", "least-squares", "zero")
 @pytest.mark.parametrize("smooth_kind,prox_kind,rule", CASES)
 def test_forced_run_matches_reference(smooth_kind, prox_kind, rule):
     blk, args = _setup(smooth_kind, prox_kind, 1)
-    cfg = InnerConfig(rule=rule, sigma=0.9)
+    params = SolverParams(rule=rule, sigma=0.9)
     kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=40, trace=True)
-    new = run_inner(blk, *args, cfg, **kw)
-    _assert_same(new, run_inner_reference(blk, *args, cfg, **kw))
+    new = run_inner(blk, *args, params, **kw)
+    _assert_same(new, run_inner_reference(blk, *args, params, **kw))
     if rule == "adaptive" and smooth_kind != "zero":
         assert sum(new[1].backtracks) > 0
 
@@ -85,25 +86,26 @@ def test_forced_run_matches_reference(smooth_kind, prox_kind, rule):
 @pytest.mark.parametrize("smooth_kind,prox_kind,rule", CASES)
 def test_stopped_run_matches_reference(smooth_kind, prox_kind, rule):
     blk, args = _setup(smooth_kind, prox_kind, 2)
-    cfg = InnerConfig(rule=rule, sigma=0.9)
-    # a zero smooth term starts at gamma = 1 / delta_min = 1e6, so its
+    params = SolverParams(rule=rule, sigma=0.9)
+    # a zero smooth term starts at gamma = 1 / DELTA_MIN = 1e6, so its
     # floors and thresholds are scaled to still need several iterations
     g, p = (2e7, 1e-3) if smooth_kind == "zero" else (1.0, 1.0)
     for trace in (False, True):
         for Gamma_prev, psi_eps in ((0.0, np.inf), (0.5, 2.0), (3.0, 0.5)):
             kw = dict(Gamma_prev=g * Gamma_prev, psi_eps=p * psi_eps, trace=trace)
-            _assert_same(run_inner(blk, *args, cfg, **kw),
-                         run_inner_reference(blk, *args, cfg, **kw))
+            _assert_same(run_inner(blk, *args, params, **kw),
+                         run_inner_reference(blk, *args, params, **kw))
 
 
 @pytest.mark.parametrize("rule", ["constant", "adaptive"])
-def test_cap_error_matches_reference(rule):
+def test_cap_error_matches_reference(rule, monkeypatch):
     blk, args = _setup("quadratic", "l1", 3)
-    cfg = InnerConfig(rule=rule, sigma=0.9, max_iters=5)
+    params = SolverParams(rule=rule, sigma=0.9)
+    monkeypatch.setattr(iadmm.inner, "MAX_ITERS", 5)
     errs = []
     for fn in (run_inner, run_inner_reference):
         with pytest.raises(NumericError) as info:
-            fn(blk, *args, cfg, Gamma_prev=0.0, psi_eps=0.0, ctx=(3, 1))
+            fn(blk, *args, params, Gamma_prev=0.0, psi_eps=0.0, ctx=(3, 1))
         errs.append(info.value)
     assert str(errs[0]) == str(errs[1])
     assert errs[0].context == errs[1].context

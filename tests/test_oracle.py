@@ -11,8 +11,9 @@ import iadmm.outer
 from iadmm.blockspace import BlockVector, DenseMap
 from iadmm.diagnostics import ReferencePair
 from iadmm.errors import CertificationError, ConfigError, NumericError
-from iadmm.inner import InnerConfig, run_inner
+from iadmm.inner import run_inner
 from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
+from iadmm.outer import SolverParams
 from iadmm.problem import Block, ProblemSpec
 from iadmm.problems import gen_lasso, gen_qp
 from iadmm.proxlib import (ProxTerm, SmoothTerm, group_l2_prox, l1_prox, quadratic,
@@ -289,8 +290,8 @@ def test_subproblem_fixed_point_is_inner_fixed_point():
     blk, y_i, lam, b_i = _subproblem_inputs(72, weight=0.2)
     rho, gamma_i = 1.0, 2.0
     xbar = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i, tol=1e-13)
-    cfg = InnerConfig(rule="adaptive", sigma=0.9)
-    res, _ = run_inner(blk, xbar, y_i, lam, b_i, rho, gamma_i, cfg,
+    params = SolverParams(rule="adaptive", sigma=0.9)
+    res, _ = run_inner(blk, xbar, y_i, lam, b_i, rho, gamma_i, params,
                        Gamma_prev=0.0, psi_eps=np.inf, force_iters=1)
     assert np.linalg.norm(res.x_next - xbar) <= 1e-9
 
@@ -300,10 +301,10 @@ def test_inner_loop_limit_matches_oracle():
     blk, y_i, lam, b_i = _subproblem_inputs(73, weight=0.25)
     rho, gamma_i = 1.0, 2.0
     xbar = subproblem_minimizer(blk, y_i, lam, b_i, rho, gamma_i, tol=1e-13)
-    cfg = InnerConfig(rule="adaptive", sigma=0.9)
+    params = SolverParams(rule="adaptive", sigma=0.9)
     rng = np.random.default_rng(99)
     x_i = y_i + rng.standard_normal(blk.dim)
-    res, _ = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, cfg,
+    res, _ = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, params,
                        Gamma_prev=0.0, psi_eps=np.inf, force_iters=400)
     assert np.linalg.norm(res.z - xbar) <= 1e-6
     assert np.linalg.norm(res.x_next - xbar) <= 1e-6

@@ -161,6 +161,8 @@ def test_solver_params_fields():
     ("max_outer", 2.5),
     ("max_outer", True),
     ("rule", "newton"),
+    ("sigma", 0.0),
+    ("sigma", 1.0),
     pytest.param("x0", np.zeros(3), id="x0-array"),
     pytest.param("x0", BlockVector.from_flat(np.array([0.0, np.nan, 0.0]), (2, 1)),
                  id="x0-nan"),

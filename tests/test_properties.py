@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D, HaarMap,
                               ScaledIdentity, VStack, ZeroMap)
 from iadmm.diagnostics import decay_rows, ergodic_rows, strong_rows
-from iadmm.inner import InnerConfig, run_inner
+from iadmm.inner import run_inner
 from iadmm.oracle import subproblem_minimizer
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block
@@ -205,7 +205,7 @@ def test_step_size_coupling_property(seed, rule, rho, gamma_i):
     y_i = rng.standard_normal(blk.dim)
     x_i = y_i + rng.standard_normal(blk.dim)
     lam, b_i = rng.standard_normal(blk.op.rows), rng.standard_normal(blk.op.rows)
-    _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, InnerConfig(rule=rule, sigma=0.9),
+    _, tr = run_inner(blk, x_i, y_i, lam, b_i, rho, gamma_i, SolverParams(rule=rule, sigma=0.9),
                       Gamma_prev=0.0, psi_eps=np.inf, force_iters=30, trace=True)
     assert np.max(np.abs(np.asarray(tr.xis) - 1.0)) <= XI_TOL
 
@@ -314,12 +314,24 @@ def test_energy_decay_and_averaged_gap_certificates_property(seed, m, alpha, rho
 def test_accelerated_rate_certificates_property(seed, m, mu, alpha, rho):
     # the metric floor ``from_id`` gives its strong-mode ids
     entry = gen_qp(seed, m=m, mu=mu, p_floor=1.25)
+    problem = entry.problem
     params = SolverParams(mode="strong", alpha=alpha, rho=rho, tol=0.0,
                           max_outer=CERTIFICATE_SWEEPS)
-    rep = solve(entry.problem, params, ref=entry.reference)
+    rep = solve(problem, params, ref=entry.reference)
     rows = strong_rows(rep)
     assert rows
     assert [r for r in rows if not r.passed] == []
+    # at this horizon the rows would pass with a wrong theta or step length,
+    # so the schedule and the multiplier step they rest on are pinned too:
+    # rho_k = (k0 + k) theta with the paper's theta and k0 for the weights
+    # of M, and one sweep from lam = 0 ends at lam = alpha rho_1 (A z_1 - b)
+    M = BlockTriangular(rep.gammas, problem.ops())
+    theta = alpha * problem.mu_total() / (8.0 * M.p_norm())
+    k0 = 4.0 * M.scaled_p_norm() / (alpha * (1.0 - alpha))
+    assert np.array_equal(rep.history.rho, (k0 + np.arange(1, CERTIFICATE_SWEEPS + 1)) * theta)
+    one = solve(problem, dataclasses.replace(params, max_outer=1))
+    step = alpha * one.history.rho[0] * problem.residual(one.z)
+    assert np.allclose(one.lam, step, rtol=1e-9, atol=1e-12 * np.abs(step).max())
 
 
 def _solve_bytes(problem, params, ref):

@@ -9,13 +9,13 @@ import iadmm
 PUBLIC_NAMES = [
     "BlockTriangular", "BlockVector", "Block", "CertificationError", "CheckRow",
     "ConfigError", "CorpusEntry", "DenseMap", "Grad2D", "HaarMap", "History",
-    "IadmmError", "InnerConfig", "InnerResult", "InnerTrace", "LinearMap",
+    "IadmmError", "InnerResult", "InnerTrace", "LinearMap",
     "NumericError", "ProblemSpec", "ProxTerm", "RateFit", "ReferencePair",
     "SUITES", "ScaledIdentity", "SeparableBlur", "SmoothTerm", "SolveReport",
     "SolverParams", "StructuralError", "VStack", "ZeroMap", "energy", "from_id",
     "gamma_compatible", "gaussian_kernel", "gen_imaging", "gen_lasso", "gen_qp",
     "group_l2_prox", "group_shrink", "kkt_error", "l1_prox", "lagrangian_gap",
-    "line_search_accept", "params_adaptive", "params_constant", "quadratic",
+    "params_adaptive", "quadratic",
     "quadratic_smooth", "rate_fit", "run_inner", "run_suite", "solve",
     "solve_qp_kkt", "spectral_norm", "step3_update", "subproblem_minimizer",
     "two_step_ratio", "zero_prox", "zero_smooth",
