@@ -8,13 +8,15 @@ corrective back-substitution step, and deterministic power-iteration
 spectral-norm estimation.
 
 ``M`` has diagonal blocks ``gamma_i * I`` and subdiagonal blocks
-``A_i^T A_j`` (j < i).  The solver never forms it densely: products with
-``M`` and ``M^T`` and the solve against ``M^T`` take ``O(m)`` operator
+``A_i^T A_j`` (j < i).  The solver never forms it densely in a sweep:
+products with ``M^T`` and the solve against ``M^T`` take ``O(m)`` operator
 applications.  Its one dense assembly, ``BlockTriangular.to_dense``, serves
-desk-scale generators and checks.  The spectral norms of the induced metric
-``P = M Q^{-1} M^T`` (``Q = diag(gamma_i I)``) and of ``Q^{-1/2} P Q^{-1/2}``
-are squared norms of the factor ``Q^{-1/2} M^T S`` (``S = I`` or
-``Q^{-1/2}``), since ``||B^T B|| = ||B||^2``; power iteration runs on it.
+desk-scale generators and checks, and gives the dense induced metric
+``P = M Q^{-1} M^T`` (``Q = diag(gamma_i I)``) of ``BlockTriangular.p_dense``.
+The strong-mode schedule takes ``||P||`` and ``||Q^{-1/2} P Q^{-1/2}||`` as
+exact top eigenvalues of that dense ``P``, assembled at each schedule
+update; strong mode needs every block strongly convex, which in the corpus
+only the desk-scale ``gen_qp`` problems with ``mu > 0`` are.
 """
 
 from __future__ import annotations
@@ -429,17 +431,6 @@ class BlockTriangular:
             suffix = suffix + op.apply(di)
         return BlockVector._wrap(out, self.dims)
 
-    def apply_m(self, d):
-        """Product ``M d`` (block lower triangular)."""
-        self._check(d)
-        out = [None] * self.m
-        prefix = np.zeros(self.rhs_dim)
-        for i in range(self.m):
-            op, di = self.ops[i], d.blocks[i]
-            out[i] = self.gammas[i] * di + op.adjoint(prefix)
-            prefix = prefix + op.apply(di)
-        return BlockVector._wrap(out, self.dims)
-
     def back_substitute(self, y, z, alpha):
         """Solve ``M^T (y_new - y) = alpha Q (z - y)`` for ``y_new``.
 
@@ -471,37 +462,19 @@ class BlockTriangular:
         self._check(x)
         return float(sum(g * (b @ b) for g, b in zip(self.gammas, x.blocks)))
 
+    def _q_inv(self):
+        return np.concatenate([np.full(d, 1.0 / g) for d, g in zip(self.dims, self.gammas)])
+
+    def p_dense(self):
+        """Dense ``P = M Q^{-1} M^T``, from the dense ``M`` of :meth:`to_dense`."""
+        Md = self.to_dense()
+        return (Md * self._q_inv()) @ Md.T
+
     def p_norm(self):
-        """Spectral norm of ``P``, which is ``B^T B`` for ``B = Q^{-1/2} M^T``: ``||B||^2``."""
-        return spectral_norm(_MetricFactor(self, scaled=False)) ** 2
+        """Spectral norm of ``P``: the top eigenvalue of :meth:`p_dense`."""
+        return float(np.linalg.eigvalsh(self.p_dense())[-1])
 
     def scaled_p_norm(self):
-        """Spectral norm of ``Q^{-1/2} P Q^{-1/2}``.
-
-        That matrix is ``B^T B`` for ``B = Q^{-1/2} M^T Q^{-1/2}``, so its norm is ``||B||^2``.
-        """
-        return spectral_norm(_MetricFactor(self, scaled=True)) ** 2
-
-
-class _MetricFactor(LinearMap):
-    """``B = Q^{-1/2} M^T S`` of a :class:`BlockTriangular` on flat vectors.
-
-    ``S`` is ``I``, or ``Q^{-1/2}`` when ``scaled``; ``B^T B = S P S``.
-    """
-
-    kind = "metric-factor"
-
-    def __init__(self, M, scaled):
-        self.M = M
-        self.rows = self.cols = sum(M.dims)
-        self.q_isqrt = np.concatenate([np.full(d, 1.0 / np.sqrt(g))
-                                       for d, g in zip(M.dims, M.gammas)])
-        self.s = self.q_isqrt if scaled else 1.0
-
-    def apply(self, x):
-        x = BlockVector.from_flat(self.s * self._check_in(x), self.M.dims)
-        return self.q_isqrt * self.M.apply_mt(x).to_flat()
-
-    def adjoint(self, w):
-        w = BlockVector.from_flat(self.q_isqrt * self._check_out(w), self.M.dims)
-        return self.s * self.M.apply_m(w).to_flat()
+        """Spectral norm of ``Q^{-1/2} P Q^{-1/2}``: its top eigenvalue, from :meth:`p_dense`."""
+        r = np.sqrt(self._q_inv())
+        return float(np.linalg.eigvalsh(r[:, None] * self.p_dense() * r)[-1])

@@ -215,7 +215,7 @@ def step3_update(M: BlockTriangular, y, z, lam, rho, alpha, residual):
 
 
 def _strong_schedule(M: BlockTriangular, mu, alpha):
-    """Strong-mode ``(theta, k0)`` for the current weights of ``M``."""
+    """Strong-mode ``(theta, k0)`` for the current weights of ``M``, from the dense ``P``."""
     theta = alpha * mu / (8.0 * M.p_norm())
     k0 = 4.0 * M.scaled_p_norm() / (alpha * (1.0 - alpha))
     return theta, k0

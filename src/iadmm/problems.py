@@ -132,9 +132,8 @@ def gen_qp(seed, m=2, mu=0.0, p_floor=None):
         scale = 1.0
         if p_floor is not None:
             gammas = [float(np.linalg.norm(Ai.T @ Ai, 2)) for Ai in As]
-            Md = BlockTriangular(gammas, [DenseMap(Ai) for Ai in As]).to_dense()
-            qinv = np.concatenate([np.full(d, 1.0 / g) for d, g in zip(dims, gammas)])
-            pmin = float(np.linalg.eigvalsh((Md * qinv[None, :]) @ Md.T)[0])
+            P = BlockTriangular(gammas, [DenseMap(Ai) for Ai in As]).p_dense()
+            pmin = float(np.linalg.eigvalsh(P)[0])
             if pmin < p_floor:
                 scale = float(np.sqrt(p_floor / pmin))
                 As = [scale * Ai for Ai in As]

@@ -94,9 +94,7 @@ def operator_rows(entry, rng):
                      BACKSUB_TOL * (1.0 + target.norm())))
 
     if problem.n <= DENSE_ORACLE_MAX_DIM:
-        dense_M = M.to_dense()
-        dense_P = dense_M @ np.diag(np.repeat(1.0 / np.asarray(gammas),
-                                              problem.dims)) @ dense_M.T
+        dense_P = M.p_dense()
         w = rng.standard_normal(problem.n)
         wb = BlockVector.from_flat(w, problem.dims)
         lhs = M.p_norm_sq(wb)
@@ -232,13 +230,15 @@ def run_suite(name, problem_id=None, seed=None):
 
     ``seed`` (default 0) seeds the ``inner`` and ``operators`` suites, the
     only ones that draw at random.  An unknown name, a problem id for the
-    ``inner`` suite (which draws random subproblems), or a seed for any
-    other suite raises ``ConfigError``.
+    ``inner`` suite (which draws random subproblems), a seed for any other
+    suite, or a negative seed raises ``ConfigError``.
     """
     if seed is not None and name in SUITES and name not in ("inner", "operators"):
         raise ConfigError("suite %r draws nothing at random and takes no seed (got %r)"
                           % (name, seed))
     seed = 0 if seed is None else seed
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative, got %r" % (seed,))
     if name == "inner":
         if problem_id is not None:
             raise ConfigError("suite 'inner' takes no problem id (got %r)" % (problem_id,))

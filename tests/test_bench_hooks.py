@@ -168,8 +168,9 @@ def test_tracer_labels_imaging_maps_and_proxes():
 
 
 def test_tracer_covers_the_strong_mode_norm_path():
-    # the growing-penalty schedule runs power iteration on the metric
-    # factor of M, whose products go through the block operators
+    # the growing-penalty schedule takes ||P|| and the scaled norm from the
+    # dense metric P, so power iteration runs only for the power-mode
+    # weights, one norm per block through that block's operator
     entry = from_id("qp-2-m2-mu0.5")
     tracer = _load_spans().Tracer()
     tracer.patch_modules(iadmm)
@@ -187,13 +188,44 @@ def test_tracer_covers_the_strong_mode_norm_path():
     for lab, p in zip(labels, tracer.parent):
         if p in kids:
             kids[p].add(lab)
-    # one norm per block for the power-mode weights, then ||P|| and the
-    # scaled norm for (theta, k0)
-    assert len(kids) == entry.problem.m + 2
+    assert len(kids) == entry.problem.m
     for seen in kids.values():
-        assert seen and all(lab.startswith(("blockspace.apply.", "blockspace.adjoint."))
-                            for lab in seen), seen
-    factor = {"blockspace.apply.metric-factor", "blockspace.adjoint.metric-factor"}
-    assert sum(seen == factor for seen in kids.values()) == 2
+        assert seen == {"blockspace.apply.dense", "blockspace.adjoint.dense"}, seen
+    assert not any("metric-factor" in lab for lab in labels)
     for owner, attr, orig, _ in tracer._patches:
         assert _current(owner, attr) is orig, (owner, attr)
+
+
+# each benchmark job's problem, mode and weights (``bench/run.py``'s
+# ``WORKLOADS``), with its reference tracked where the bench tracks it
+BENCH_JOBS = [
+    ("qp-2-m2", dict(alpha=0.5), True),
+    ("qp-3-m3", dict(alpha=0.5), True),
+    ("qp-2-m2-mu0.5", dict(mode="strong", alpha=0.5), True),
+    ("qp-2-m2", dict(rule="constant", alpha=0.5), True),
+    ("lasso-1", dict(alpha=0.8), True),
+    ("img-0-s32", dict(alpha=0.9, gamma_mode="safeguard"), False),
+]
+
+
+def test_every_operator_kind_of_a_bench_job_has_its_metrics():
+    # the bench reports blockspace.calls.<kind> only for the kinds in
+    # OP_KINDS; an operator of any other kind would run outside every metric
+    spans = _load_spans()
+    entries = {ident: from_id(ident) for ident, _, _ in BENCH_JOBS}
+    tracer = spans.Tracer()
+    tracer.patch_modules(iadmm)
+    tracer.patch_instances([e.problem for e in entries.values()])
+    tracer.install()
+    try:
+        for ident, fields, track in BENCH_JOBS:
+            entry = entries[ident]
+            solve(entry.problem, SolverParams(tol=0.0, max_outer=3, **fields),
+                  ref=entry.reference if track else None)
+    finally:
+        tracer.uninstall()
+
+    kinds = {lab.split(".", 2)[2] for lab in tracer.labels
+             if lab.startswith(("blockspace.apply.", "blockspace.adjoint."))}
+    assert {"dense", "separable-blur", "vertical-stack"} <= kinds
+    assert kinds <= set(spans.OP_KINDS), kinds - set(spans.OP_KINDS)

@@ -141,6 +141,16 @@ def test_verify_refuses_a_seed_it_would_ignore(tmp_path, capsys, suite):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("suite,seed", [("inner", "-1"), ("operators", "-5")])
+def test_verify_refuses_a_negative_seed(tmp_path, capsys, suite, seed):
+    # the suites that draw at random refuse a seed their generator cannot take
+    rc = main(["verify", "--suite", suite, "--seed", seed, "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and seed in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_rates_convex_csv(tmp_path):
     out = tmp_path / "rates.csv"
     rc = main(["rates", "--problem", "qp-2-m2", "--max-outer", "400",

@@ -457,6 +457,29 @@ def test_strong_schedule_updates_match_formulas():
     assert (report.theta, report.k0) == (updates[-1]["theta"], updates[-1]["k0"])
 
 
+def test_strong_schedule_uses_the_exact_metric_norms():
+    # theta = alpha mu / (8 ||P||) and k0 = 4 ||Q^{-1/2} P Q^{-1/2}|| / (alpha (1 - alpha))
+    # with the true norms of P = M Q^{-1} M^T, taken here from a dense M built
+    # block by block; a power-iteration estimate reads about 1e-8 low
+    entry = from_id("qp-2-m2-mu0.5")
+    problem, alpha = entry.problem, 0.5
+    report = solve(problem, SolverParams(mode="strong", alpha=alpha, tol=0.0, max_outer=5))
+    mats = [op.mat for op in problem.ops()]
+    offs = np.cumsum([0] + [A.shape[1] for A in mats])
+    Md = np.zeros((offs[-1], offs[-1]))
+    for i, Ai in enumerate(mats):
+        Md[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = report.gammas[i] * np.eye(Ai.shape[1])
+        for j in range(i):
+            Md[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = Ai.T @ mats[j]
+    qinv = np.repeat(1.0 / np.array(report.gammas), np.diff(offs))
+    P = Md @ np.diag(qinv) @ Md.T
+    Qih = np.diag(np.sqrt(qinv))
+    p_norm = np.linalg.eigvalsh(P)[-1]
+    scaled = np.linalg.eigvalsh(Qih @ P @ Qih)[-1]
+    assert report.theta == pytest.approx(alpha * problem.mu_total() / (8.0 * p_norm), rel=1e-12)
+    assert report.k0 == pytest.approx(4.0 * scaled / (alpha * (1.0 - alpha)), rel=1e-12)
+
+
 def test_strong_safeguard_from_tiny_gamma_runs_at_alpha_0_9():
     # one bump per sweep left the weights ~300x below ||A_i^T A_i|| after
     # sweep 1 and the next sweep's inner loop hit its cap; growing each
