@@ -14,9 +14,10 @@ applications.  Its one dense assembly, ``BlockTriangular.to_dense``, serves
 desk-scale generators and checks, and gives the dense induced metric
 ``P = M Q^{-1} M^T`` (``Q = diag(gamma_i I)``) of ``BlockTriangular.p_dense``.
 The strong-mode schedule takes ``||P||`` and ``||Q^{-1/2} P Q^{-1/2}||`` as
-exact top eigenvalues of that dense ``P``, assembled at each schedule
-update; strong mode needs every block strongly convex, which in the corpus
-only the desk-scale ``gen_qp`` problems with ``mu > 0`` are.
+exact top eigenvalues of that dense ``P``, assembled once per solve (strong
+mode runs on fixed weights); strong mode needs every block strongly
+convex, which in the corpus only the desk-scale ``gen_qp`` problems with
+``mu > 0`` are.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, StructuralError
 
+# power iteration: fixed start, stop test and sweep cap
 POWER_SEED = 0x5EED
+POWER_TOL = 1e-8
+POWER_MAX_ITERS = 10000
 _F64 = np.dtype(np.float64)
 
 
@@ -345,13 +349,13 @@ class VStack(LinearMap):
         return out
 
 
-def spectral_norm(op, tol=1e-8, max_iters=10000):
+def spectral_norm(op):
     """Largest singular value of ``op`` by power iteration on ``op^T op``.
 
-    Deterministic: the starting vector comes from a fixed-seed generator.
-    Stops when the Rayleigh quotient changes by at most
-    ``tol * (1 + value)`` between sweeps; hitting ``max_iters`` first
-    raises :class:`NumericError` carrying the best estimate.
+    Deterministic: the starting vector comes from a generator seeded with
+    ``POWER_SEED``.  Stops when the Rayleigh quotient changes by at most
+    ``POWER_TOL * (1 + value)`` between sweeps; hitting ``POWER_MAX_ITERS``
+    first raises :class:`NumericError` carrying the best estimate.
     """
 
     if op.cols == 0:
@@ -360,18 +364,18 @@ def spectral_norm(op, tol=1e-8, max_iters=10000):
     v = rng.standard_normal(op.cols)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for it in range(max_iters):
+    for it in range(POWER_MAX_ITERS):
         w = op.adjoint(op.apply(v))
         lam_new = float(v @ w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if it >= 1 and abs(lam_new - lam) <= tol * (1.0 + abs(lam_new)):
+        if it >= 1 and abs(lam_new - lam) <= POWER_TOL * (1.0 + abs(lam_new)):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam = lam_new
     raise NumericError(
-        "power iteration did not settle within %d sweeps" % max_iters,
+        "power iteration did not settle within %d sweeps" % POWER_MAX_ITERS,
         context={"routine": "spectral_norm"},
         best=float(np.sqrt(max(lam, 0.0))),
     )

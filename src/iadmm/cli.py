@@ -51,7 +51,6 @@ def _manifest(args, params, report):
     return {
         "command": args.command,
         "problem": args.problem,
-        "seed": args.seed,
         "out": args.out,
         "params": {f.name: getattr(params, f.name) for f in dataclasses.fields(params)
                    if f.name not in ("x0", "lam0")},
@@ -126,7 +125,6 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="run the solver on a corpus problem")
     _add_solver_flags(ps)
-    ps.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     ps.add_argument("--out", default="history.csv", help="history CSV path")
     ps.set_defaults(func=cmd_solve, max_outer=SolverParams.max_outer)
 

@@ -190,11 +190,6 @@ def _require_fixed_weights(report, check):
     """
     if report.params.mode == "strong":
         raise ConfigError("%s check needs a fixed-penalty run, not strong mode" % check)
-    _require_unguarded(report, check)
-
-
-def _require_unguarded(report, check):
-    """Refuse a run in which a ``gamma-safeguard`` event changed a weight of ``M``."""
     if any(ev["event"] == "gamma-safeguard" for ev in report.events):
         raise ConfigError("%s check needs fixed weights, but the gamma safeguard "
                           "changed them" % check)
@@ -254,10 +249,10 @@ def strong_rows(report):
     ``2 cbar / (alpha (t (t + 1) + 2 k0 t))`` and the corrected-point
     error ``||y_{t+1} - x*||^2`` against ``cbar / ((t + k0)^2 theta)``,
     both with slack ``BOUND_SLACK * (1 + cbar)``, plus monotonicity of
-    ``k / Gamma_i^k``.  A run with a ``gamma-safeguard`` event raises
-    :class:`ConfigError`: ``cbar``, ``theta`` and ``k0`` need fixed weights.
+    ``k / Gamma_i^k``.  ``cbar``, ``theta`` and ``k0`` need fixed weights,
+    which every strong-mode run has: :class:`~iadmm.outer.SolverParams`
+    refuses the gamma safeguard there.
     """
-    _require_unguarded(report, "accelerated-rate")
     h = report.history
     if h.w_gap is None or report.cbar is None:
         raise ConfigError("accelerated-rate check needs a growing-penalty run with a reference")

@@ -45,3 +45,9 @@ def check_count(name, value):
     """Raise :class:`ConfigError` unless ``value`` is an integer, not a bool, of at least 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ConfigError("%s must be an integer of at least 1" % name)
+
+
+def check_real(name, value):
+    """Raise :class:`ConfigError` unless ``value`` is a real scalar that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError("%s must be a real number, got %r" % (name, value))

@@ -33,7 +33,8 @@ unrun (the exact-mode oracle runs again).
 
 Three modes are supported.  ``convex`` runs a fixed penalty ``rho``.
 ``strong`` grows the penalty as ``rho_k = (k0 + k) * theta`` using the
-problem's strong-convexity modulus, and additionally forces the
+problem's strong-convexity modulus, with ``theta`` and ``k0`` fixed once
+per solve from the power-mode weights, and additionally forces the
 per-block accuracy weights to grow so that ``k / Gamma_i^k`` never
 increases.  ``exact`` replaces the inner loop with a high-accuracy
 subproblem oracle (useful for references and cross-checks).
@@ -52,13 +53,15 @@ import numpy as np
 
 from .blockspace import BlockTriangular, BlockVector
 from .diagnostics import energy, kkt_error, lagrangian_gap
-from .errors import ConfigError, NumericError, check_count
+from .errors import ConfigError, NumericError, check_count, check_real
 from .inner import InnerResult, run_inner
 from .oracle import lipschitz_bound, subproblem_minimizer
 from .problem import ProblemSpec
 
 HISTORY_COLUMNS = ("k", "eps", "feas", "yz_gap", "R", "obj", "E", "kkt", "rho", "gamma1")
-# factor by which the safeguard grows a diagonal weight that a sweep outran
+# the safeguard's starting diagonal weight, and the factor by which it grows
+# a weight that a sweep outran
+GAMMA_INIT = 4.0
 GAMMA_FACTOR = 3.0
 
 
@@ -80,11 +83,13 @@ class SolverParams:
     threshold is ``psi(eps) = eps``: the paper's weights ``theta_1..3`` and
     ``c_psi`` are fixed at 1.  ``gamma_mode`` chooses between
     power-iteration initialization of the diagonal weights and the
-    safeguarded variant that starts every weight at ``gamma_init`` and,
+    safeguarded variant that starts every weight at ``GAMMA_INIT`` and,
     after each sweep, multiplies it by ``GAMMA_FACTOR`` while
-    ``gamma_i ||z_i - y_i||^2 < ||A_i (z_i - y_i)||^2``.
-    ``x0`` (a :class:`BlockVector`) and ``lam0`` are an optional finite
-    starting point.
+    ``gamma_i ||z_i - y_i||^2 < ||A_i (z_i - y_i)||^2``.  Strong mode
+    needs fixed weights and refuses the safeguard.
+    ``x0`` (a :class:`BlockVector`) and ``lam0`` (anything that converts
+    to a 1-d float array; kept as that array) are an optional finite
+    starting point.  Every real field must be a real scalar, not a bool.
     """
 
     mode: str = "convex"
@@ -95,37 +100,45 @@ class SolverParams:
     tol: float = 1e-8
     max_outer: int = 100_000
     gamma_mode: str = "power"
-    gamma_init: float = 4.0
     exact_tol: float = 1e-12
     x0: Optional[BlockVector] = None
     lam0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         # every bound is written as ``not x > bound`` so that nan is rejected too
-        if self.mode not in ("convex", "strong", "exact"):
+        if not isinstance(self.mode, str) or self.mode not in ("convex", "strong", "exact"):
             raise ConfigError("unknown mode %r" % (self.mode,))
-        if self.rule not in ("constant", "adaptive"):
+        if not isinstance(self.rule, str) or self.rule not in ("constant", "adaptive"):
             raise ConfigError("unknown inner rule %r" % (self.rule,))
+        for name in ("rho", "alpha", "sigma", "tol", "exact_tol"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.sigma < 1.0:
             raise ConfigError("sigma must lie strictly between 0 and 1")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
-        for name in ("rho", "gamma_init", "exact_tol"):
+        for name in ("rho", "exact_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError("%s must be positive and finite" % name)
         # tol=inf is legal: the solve stops after one sweep
         if not self.tol >= 0.0:
             raise ConfigError("tol must be nonnegative")
-        if self.gamma_mode not in ("power", "safeguard"):
+        if not isinstance(self.gamma_mode, str) or self.gamma_mode not in ("power", "safeguard"):
             raise ConfigError("unknown gamma_mode %r" % (self.gamma_mode,))
+        if self.mode == "strong" and self.gamma_mode != "power":
+            raise ConfigError("strong mode needs fixed weights: gamma_mode must be 'power'")
         check_count("max_outer", self.max_outer)
         if self.x0 is not None:
             if not isinstance(self.x0, BlockVector):
                 raise ConfigError("x0 must be a BlockVector")
             if not np.isfinite(self.x0.to_flat()).all():
                 raise ConfigError("x0 has non-finite entries")
-        if self.lam0 is not None and not np.isfinite(self.lam0).all():
-            raise ConfigError("lam0 has non-finite entries")
+        if self.lam0 is not None:
+            try:
+                self.lam0 = np.array(self.lam0, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ConfigError("lam0 must convert to a float array") from None
+            if self.lam0.ndim != 1 or not np.isfinite(self.lam0).all():
+                raise ConfigError("lam0 must be a finite 1-d array")
 
 
 @dataclass
@@ -214,13 +227,6 @@ def step3_update(M: BlockTriangular, y, z, lam, rho, alpha, residual):
     return y_new, lam_new
 
 
-def _strong_schedule(M: BlockTriangular, mu, alpha):
-    """Strong-mode ``(theta, k0)`` for the current weights of ``M``, from the dense ``P``."""
-    theta = alpha * mu / (8.0 * M.p_norm())
-    k0 = 4.0 * M.scaled_p_norm() / (alpha * (1.0 - alpha))
-    return theta, k0
-
-
 def gamma_compatible(op, gamma, z_i, y_i):
     """Safeguard test: ``gamma ||z_i - y_i||^2 >= ||A_i (z_i - y_i)||^2``."""
     d = z_i - y_i
@@ -250,16 +256,12 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     x = params.x0.copy() if params.x0 is not None else BlockVector.zeros(dims)
     if x.dims != dims:
         raise ConfigError("x0 does not match the problem's block structure")
-    lam = (np.array(params.lam0, dtype=np.float64).reshape(-1)
-           if params.lam0 is not None else np.zeros(N))
+    lam = params.lam0.copy() if params.lam0 is not None else np.zeros(N)
     if lam.size != N:
         raise ConfigError("lam0 does not match the constraint dimension")
     y = x.copy()
 
-    if params.gamma_mode == "power":
-        gammas = problem.gammas_power()
-    else:
-        gammas = [params.gamma_init] * m
+    gammas = problem.gammas_power() if params.gamma_mode == "power" else [GAMMA_INIT] * m
     M = BlockTriangular(gammas, ops)
 
     strong = params.mode == "strong"
@@ -274,7 +276,9 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         mu = problem.mu_total()
         if not mu > 0.0:
             raise ConfigError("strong mode needs a positive strong-convexity modulus")
-        theta, k0 = _strong_schedule(M, mu, params.alpha)
+        # the paper's schedule, from the dense P = M Q^{-1} M^T of these fixed weights
+        theta = params.alpha * mu / (8.0 * M.p_norm())
+        k0 = 4.0 * M.scaled_p_norm() / (params.alpha * (1.0 - params.alpha))
 
     # one list per history column; rows are not kept, as a dict per sweep
     # would double the history's memory on long solves
@@ -359,10 +363,6 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                     changed = True
             if changed:
                 M = BlockTriangular(gammas, ops)
-                if strong:
-                    theta, k0 = _strong_schedule(M, mu, params.alpha)
-                    events.append({"k": k, "event": "strong-schedule-update",
-                                   "theta": theta, "k0": k0})
 
         # --- per-sweep records ---------------------------------------------
         obj = problem.objective(z)
@@ -390,13 +390,12 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
             cols[name].append(val)
         Gammas.append(tuple(Gamma))
 
-        if k == 1:
-            if strong and ref is not None and min(Gamma) > 0.0:
-                cbar = (float((lam - ref.lam_star) @ (lam - ref.lam_star)) / theta
-                        + params.alpha * (k0 + 1.0) * sum(
-                            float((xi - si) @ (xi - si)) / g
-                            for xi, si, g in zip(x.blocks, ref.x_star.blocks, Gamma))
-                        + k0 * k0 * theta * M.p_norm_sq(y - ref.x_star))
+        if k == 1 and strong and ref is not None and min(Gamma) > 0.0:
+            cbar = (float((lam - ref.lam_star) @ (lam - ref.lam_star)) / theta
+                    + params.alpha * (k0 + 1.0) * sum(
+                        float((xi - si) @ (xi - si)) / g
+                        for xi, si, g in zip(x.blocks, ref.x_star.blocks, Gamma))
+                    + k0 * k0 * theta * M.p_norm_sq(y - ref.x_star))
 
         # --- step 2: termination -------------------------------------------
         if eps_k == 0.0:

@@ -36,6 +36,8 @@ from .proxlib import (group_l2_prox, l1_prox, quadratic, quadratic_smooth,
                       zero_prox, zero_smooth)
 
 log = logging.getLogger(__name__)
+# smallest eigenvalue of the step metric P that gen_qp gives a strongly convex draw
+P_FLOOR = 1.25
 
 
 @dataclass
@@ -92,17 +94,17 @@ def _rng(seed, attempt=0):
     return np.random.default_rng([int(seed), int(attempt), 0x1ADA])
 
 
-def gen_qp(seed, m=2, mu=0.0, p_floor=None):
+def gen_qp(seed, m=2, mu=0.0):
     """Random feasible equality-constrained QP with a dense-KKT reference.
 
     Every block has dimension 6 and the constraint ``2 m + 2`` rows.
     Block Hessians are ``G_i^T G_i + mu I`` (so ``mu``, which must be
     finite and nonnegative, is a valid strong-convexity modulus),
     constraints are dense Gaussian with a feasible right-hand side.
-    With ``p_floor`` set, the constraint is rescaled so the step metric
-    ``P`` has smallest eigenvalue at least ``p_floor``; this
-    normalization makes plain Euclidean error bounds comparable to
-    ``P``-metric ones in the growing-penalty mode.
+    With ``mu > 0`` the constraint is rescaled so the step metric ``P``
+    has smallest eigenvalue at least ``P_FLOOR``; this normalization
+    makes plain Euclidean error bounds comparable to ``P``-metric ones in
+    the growing-penalty mode.
     Degenerate draws are retried with a sub-seed (logged).
     """
     m = int(m)
@@ -130,12 +132,12 @@ def gen_qp(seed, m=2, mu=0.0, p_floor=None):
         b = A_full @ x_feas
 
         scale = 1.0
-        if p_floor is not None:
+        if mu > 0.0:
             gammas = [float(np.linalg.norm(Ai.T @ Ai, 2)) for Ai in As]
             P = BlockTriangular(gammas, [DenseMap(Ai) for Ai in As]).p_dense()
             pmin = float(np.linalg.eigvalsh(P)[0])
-            if pmin < p_floor:
-                scale = float(np.sqrt(p_floor / pmin))
+            if pmin < P_FLOOR:
+                scale = float(np.sqrt(P_FLOOR / pmin))
                 As = [scale * Ai for Ai in As]
                 b = scale * b
 
@@ -287,7 +289,7 @@ def from_id(ident):
             mu = float(mu) if mu else 0.0
         except ValueError:
             raise ConfigError("unknown problem id %r" % (ident,)) from None
-        return gen_qp(seed, m=nblocks, mu=mu, p_floor=1.25 if mu > 0 else None)
+        return gen_qp(seed, m=nblocks, mu=mu)
     m = _LASSO_RE.match(ident)
     if m:
         return gen_lasso(int(m.group(1)))

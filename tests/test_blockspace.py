@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import iadmm.blockspace
 from iadmm.blockspace import (
     BlockTriangular,
     BlockVector,
@@ -220,10 +221,12 @@ def test_spectral_norm_against_dense():
         assert est == pytest.approx(truth, rel=1e-6)
 
 
-def test_spectral_norm_cap_raises_with_best():
+def test_spectral_norm_cap_raises_with_best(monkeypatch):
+    monkeypatch.setattr(iadmm.blockspace, "POWER_TOL", 0.0)
+    monkeypatch.setattr(iadmm.blockspace, "POWER_MAX_ITERS", 3)
     A = np.diag([1.0, 0.999999])
-    with pytest.raises(NumericError) as info:
-        spectral_norm(DenseMap(A), tol=0.0, max_iters=3)
+    with pytest.raises(NumericError, match="within 3 sweeps") as info:
+        spectral_norm(DenseMap(A))
     assert info.value.best is not None
 
 

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, artifacts, schemas."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -7,9 +8,35 @@ import json
 import pytest
 
 import iadmm.cli
-from iadmm.cli import main
+from iadmm.cli import build_parser, main
 from iadmm.errors import NumericError
 from iadmm.outer import HISTORY_COLUMNS, SolverParams
+
+
+# Each subcommand's option strings; a flag is added or removed only
+# together with this list, and CHANGES.md says why.
+CLI_FLAGS = {
+    "solve": ["-h", "--help", "--problem", "--mode", "--rule", "--tol", "--max-outer",
+              "--alpha", "--sigma", "--rho", "--out"],
+    "verify": ["-h", "--help", "--suite", "--problem", "--seed", "--out"],
+    "rates": ["-h", "--help", "--problem", "--mode", "--rule", "--tol", "--max-outer",
+              "--alpha", "--sigma", "--rho", "--out"],
+}
+
+
+def test_cli_flags_snapshot():
+    sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [opt for action in parser._actions for opt in action.option_strings]
+             for name, parser in sub.choices.items()}
+    assert flags == CLI_FLAGS
+
+
+def test_solve_refuses_a_seed(tmp_path):
+    # a corpus id fixes its own seed, so solve has no --seed to record
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", "qp-1-m2", "--seed", "3", "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_solve_writes_history_and_manifest(tmp_path):
@@ -24,6 +51,7 @@ def test_solve_writes_history_and_manifest(tmp_path):
     # eps strictly positive until the final row meets the tolerance
     assert float(rows[-1][1]) <= 1e-8
     manifest = json.loads((tmp_path / "hist.csv.manifest.json").read_text())
+    assert set(manifest) == {"command", "problem", "out", "params", "result"}
     assert manifest["command"] == "solve"
     assert manifest["problem"] == "qp-1-m2"
     assert manifest["params"]["rule"] == "adaptive"

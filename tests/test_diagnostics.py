@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import iadmm.outer
 from iadmm.blockspace import BlockTriangular, BlockVector, DenseMap
 from iadmm.diagnostics import (
     CheckRow,
@@ -294,12 +295,12 @@ def test_ergodic_rows_on_tracked_run():
     assert all(r.passed for r in rows)
 
 
-def test_decay_and_ergodic_rows_refuse_runs_outside_their_hypotheses():
+def test_decay_and_ergodic_rows_refuse_runs_outside_their_hypotheses(monkeypatch):
     # safeguard bumps change M mid-run; the decay rows of this run read
     # false FAILs at sweeps 1 and 44 when they are not refused
+    monkeypatch.setattr(iadmm.outer, "GAMMA_INIT", 0.1)
     entry = gen_qp(11, m=2)
-    params = SolverParams(alpha=0.5, gamma_mode="safeguard", gamma_init=0.1,
-                          tol=0.0, max_outer=60)
+    params = SolverParams(alpha=0.5, gamma_mode="safeguard", tol=0.0, max_outer=60)
     bumped = solve(entry.problem, params, ref=entry.reference)
     assert any(ev["event"] == "gamma-safeguard" for ev in bumped.events)
     strong = _tracked_run(mu=0.5, mode="strong", iters=20)
@@ -307,17 +308,13 @@ def test_decay_and_ergodic_rows_refuse_runs_outside_their_hypotheses():
         for rows in (decay_rows, ergodic_rows):
             with pytest.raises(ConfigError, match=reason):
                 rows(report)
-    # the accelerated bounds mix a cbar formed at sweep 1 with the final
-    # theta and k0; after the bumps of sweeps 1 and 5 of this run, 38 of its
-    # 78 rows read false FAILs (from weighted-gap t=2) when not refused
-    entry = from_id("qp-2-m2-mu0.5")
-    strong_bumped = solve(entry.problem, SolverParams(
-        mode="strong", alpha=0.5, gamma_mode="safeguard", gamma_init=1e-3, tol=0.0,
-        max_outer=20), ref=entry.reference)
-    assert strong_bumped.cbar is not None
-    for report in (bumped, strong_bumped):
-        with pytest.raises(ConfigError, match="gamma safeguard"):
-            strong_rows(report)
+    # the accelerated bounds need cbar, theta and k0 of one fixed M, so a
+    # safeguarded strong-mode run is refused before it starts, and a
+    # fixed-penalty run has no accelerated rows
+    with pytest.raises(ConfigError, match="gamma_mode"):
+        SolverParams(mode="strong", alpha=0.5, gamma_mode="safeguard", tol=0.0, max_outer=20)
+    with pytest.raises(ConfigError, match="growing-penalty"):
+        strong_rows(bumped)
 
 
 def test_strong_rows_on_tracked_run():

@@ -60,11 +60,12 @@ def test_qp_strong_variant_moduli_and_scaling():
 
 
 def test_strong_qp_ids_apply_the_p_floor():
-    # from_id rescales strongly convex QPs so that P has smallest
-    # eigenvalue at least 1.25; qp-1 needs it, qp-2 already meets it
-    assert from_id("qp-1-m2-mu0.5").extras["scale"] == pytest.approx(
-        1.1185679454985609, rel=1e-12)
+    # gen_qp rescales strongly convex QPs so that P has smallest eigenvalue
+    # at least P_FLOOR = 1.25; qp-1 needs it, qp-2 already meets it, and a
+    # convex draw is never rescaled
+    assert from_id("qp-1-m2-mu0.5").extras["scale"] == 1.1185679454985609
     assert from_id("qp-2-m2-mu0.5").extras["scale"] == 1.0
+    assert from_id("qp-1-m2").extras["scale"] == 1.0
 
 
 @pytest.mark.parametrize("mu", [-1.0, float("inf"), float("nan")])

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import iadmm.outer
 from iadmm.blockspace import (BlockTriangular, BlockVector, DenseMap, Grad2D, HaarMap,
                               ScaledIdentity, VStack, ZeroMap)
 from iadmm.diagnostics import decay_rows, ergodic_rows, strong_rows
+from iadmm.errors import ConfigError
 from iadmm.inner import run_inner
 from iadmm.oracle import subproblem_minimizer
 from iadmm.outer import SolverParams, solve
@@ -311,8 +313,8 @@ def test_energy_decay_and_averaged_gap_certificates_property(seed, m, alpha, rho
 @given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4), mu=st.floats(0.1, 2.0),
        alpha=ALPHA, rho=RHO)
 def test_accelerated_rate_certificates_property(seed, m, mu, alpha, rho):
-    # the metric floor ``from_id`` gives its strong-mode ids
-    entry = gen_qp(seed, m=m, mu=mu, p_floor=1.25)
+    # with mu > 0, gen_qp floors the metric P as ``from_id`` ids get it
+    entry = gen_qp(seed, m=m, mu=mu)
     problem = entry.problem
     params = SolverParams(mode="strong", alpha=alpha, rho=rho, tol=0.0,
                           max_outer=CERTIFICATE_SWEEPS)
@@ -348,12 +350,20 @@ def _solve_bytes(problem, params, ref):
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 3))
 def test_qp_solve_is_bitwise_repeatable_property(seed, m, strong, safeguard):
+    kw = dict(mode="strong" if strong else "convex", tol=0.0, max_outer=20,
+              gamma_mode="safeguard" if safeguard else "power")
+    if strong and safeguard:
+        # strong mode runs on fixed weights
+        with pytest.raises(ConfigError, match="gamma_mode"):
+            SolverParams(**kw)
+        return
     entry = gen_qp(seed, m=m, mu=0.5 if strong else 0.0)
     # a small starting weight makes the safeguard log events
-    params = SolverParams(mode="strong" if strong else "convex", tol=0.0, max_outer=20,
-                          gamma_mode="safeguard" if safeguard else "power", gamma_init=0.5)
-    first = _solve_bytes(entry.problem, params, entry.reference)
-    assert _solve_bytes(entry.problem, params, entry.reference) == first
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iadmm.outer, "GAMMA_INIT", 0.5)
+        params = SolverParams(**kw)
+        first = _solve_bytes(entry.problem, params, entry.reference)
+        assert _solve_bytes(entry.problem, params, entry.reference) == first
 
 
 def test_lasso_solve_is_bitwise_repeatable():
