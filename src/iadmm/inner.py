@@ -53,6 +53,24 @@ descent test, which costs one more ``f_i`` value at ``a``; its
 backtracking driver :func:`params_adaptive` retries the trial with a
 larger ``delta / alpha`` until the test passes.
 
+Iteration 1 searches warm.  There ``Lambda = 0``, so every trial has
+``alpha = 1`` and ``delta = delta0 eta^j`` with the fixed ``delta0 = 1``,
+and the search's answer is the smallest exponent ``j`` whose trial
+passes.  The caller passes the exponent that the block's iteration 1
+accepted in the previous sweep as ``start`` (``0`` on the first sweep),
+and gets this call's own back as ``InnerResult.start``.  The search
+tries ``start`` first: when it fails it goes up as the cold search
+would, and when it passes it walks down while the next smaller exponent
+passes too, never below ``0``.  Each trial's ``(delta, alpha)`` comes
+from its exponent by the same formula either way, so whenever the
+descent test passes for every exponent from the smallest passing one up,
+the warm search accepts the cold search's trial bit for bit; below that
+exponent the test fails by definition, so a guess that is too small
+never changes the answer.  Iterations 2 on start at the previous
+iteration's accepted ratio over ``ETA``, as before.  The trace's
+``backtracks`` counts each iteration's trials minus one: the accepted
+exponent in a cold search, and fewer in a warm one that starts near it.
+
 Within one iteration ``a_prev`` and ``u_prev`` are fixed, so a retried
 trial whose ``alpha`` equals the last trial's has the same ``a_bar``:
 it reuses that trial's ``a_bar``, ``f_i`` value and gradient instead of
@@ -110,7 +128,10 @@ class InnerResult:
 
     ``iters`` counts the inner iterations run; from :func:`run_inner` it
     is ``0`` only when the result was handed back from ``prev``, and then
-    the other four fields are ``prev``'s own values (the arrays are shared).
+    the other fields are ``prev``'s own values (the arrays are shared).
+    ``start`` is the exponent that the adaptive rule accepted in
+    iteration 1, which the next sweep passes back as this block's
+    ``start``; the other rules return the ``start`` they were given.
     """
 
     x_next: np.ndarray
@@ -118,6 +139,7 @@ class InnerResult:
     Gamma: float
     r: float
     iters: int
+    start: int = 0
 
 
 @dataclass
@@ -134,24 +156,45 @@ class InnerTrace:
     backtracks: list = field(default_factory=list)
 
 
-def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=MAX_BACKTRACKS):
+def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=MAX_BACKTRACKS, start=0):
     """Backtracking rule: grow ``delta / alpha`` until ``accept`` passes.
 
-    For trial ``j`` the candidate pair is derived from
+    For the trial of exponent ``j`` the candidate pair is derived from
     ``theta = 1 / (delta0 * eta**j)`` via
     ``delta = 2 / (theta + sqrt(theta^2 + 4 theta Lambda_prev))`` and
     ``alpha = 1 / (1 + delta * Lambda_prev)``; the pair always satisfies
     ``delta / alpha = delta0 * eta**j``.  ``accept(delta, alpha)`` must
-    return ``(ok, payload)``; the payload of the first accepted trial is
-    returned along with ``(delta, alpha, j)``.
+    return ``(ok, payload)``.
+
+    The exponents ``start, start + 1, ..., max_backtracks`` are tried in
+    turn and the first that passes is accepted.  If that is ``start`` itself
+    and ``start > 0``, the search walks down instead: it tries
+    ``start - 1, start - 2, ...`` while they pass, never below ``0``, and
+    accepts the smallest exponent of that passing run.  With ``start = 0``
+    this is the plain search from ``delta0``.  Returns
+    ``(delta, alpha, n, payload)`` of the accepted trial, where ``n`` is the
+    number of trials run minus one (the accepted exponent when
+    ``start = 0``).
     """
-    for j in range(max_backtracks + 1):
+    for j in range(start, max_backtracks + 1):
         theta = 1.0 / (delta0 * eta ** j)
         delta = 2.0 / (theta + math.sqrt(theta * theta + 4.0 * theta * Lambda_prev))
         alpha = 1.0 / (1.0 + delta * Lambda_prev)
         ok, payload = accept(delta, alpha)
         if ok:
-            return delta, alpha, j, payload
+            if j > start or j == 0:
+                return delta, alpha, j - start, payload
+            # the guess passed at once: walk down while the next smaller
+            # exponent passes too, each trial by the same formula
+            for i in range(start - 1, -1, -1):
+                theta = 1.0 / (delta0 * eta ** i)
+                d = 2.0 / (theta + math.sqrt(theta * theta + 4.0 * theta * Lambda_prev))
+                a = 1.0 / (1.0 + d * Lambda_prev)
+                ok, p = accept(d, a)
+                if not ok:
+                    return delta, alpha, start - i, payload
+                delta, alpha, payload = d, a, p
+            return delta, alpha, start, payload
     raise NumericError(
         "descent test failed after %d backtracks" % max_backtracks,
         context={"routine": "params_adaptive", "delta0": delta0},
@@ -160,7 +203,7 @@ def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=MAX_BACKTRA
 
 def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
               Gamma_prev, psi_eps, force_iters=None, trace=False, ctx=None, prev=None,
-              ay_i=None):
+              ay_i=None, start=0):
     """Run the inner loop for one block and one outer sweep.
 
     Parameters
@@ -204,6 +247,15 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
     ay_i : ndarray, optional
         ``A_i y_i``, when the caller has it already; it must be the
         block operator's own ``apply(y_i)``, which is then not run again.
+    start : int
+        Exponent at which the adaptive rule's iteration 1 starts its search
+        (see :func:`params_adaptive`): the previous sweep's
+        ``InnerResult.start`` for this block, or ``0`` for the cold search.
+        Whenever the descent test passes for every exponent from the
+        smallest passing one up, the result is bitwise that of ``0``.  The
+        trace's ``backtracks`` and the search's third value count the
+        trials run minus one, which for ``start = 0`` is the accepted
+        exponent.
 
     Returns
     -------
@@ -216,8 +268,10 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         raise ConfigError("constant rule needs a positive Lipschitz bound for nonzero smooth terms")
     if force_iters is not None and force_iters < 1:
         raise ConfigError("force_iters must be at least 1")
+    if not 0 <= start <= MAX_BACKTRACKS:
+        raise ConfigError("start must lie between 0 and %d" % MAX_BACKTRACKS)
     if prev is not None:
-        return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0), None
+        return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0, prev.start), None
     stop = force_iters is None
     adaptive = params.rule == "adaptive" and not zero_f
     value_grad, sigma = smooth.value_grad, params.sigma
@@ -283,8 +337,14 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         for l in range(1, (MAX_ITERS if stop else force_iters) + 1):
             memo = None
             if adaptive:
-                delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
-                    Lambda, delta0, ETA, trial, MAX_BACKTRACKS)
+                if l == 1:
+                    delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
+                        Lambda, delta0, ETA, trial, MAX_BACKTRACKS, start=start)
+                    # at Lambda = 0 the accepted ratio is delta0 * ETA**j
+                    start = round(math.log(delta / alpha / delta0, ETA))
+                else:
+                    delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
+                        Lambda, delta0, ETA, trial, MAX_BACKTRACKS)
                 delta0 = min(max((delta / alpha) / ETA, DELTA_MIN), DELTA_MAX)
             else:
                 if zero_f:
@@ -322,12 +382,12 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
             if stop:
                 raise NumericError(
                     "inner loop hit its iteration cap (%d)" % MAX_ITERS,
-                    best=InnerResult(u, a, gamma, sum_sq / gamma, l))
+                    best=InnerResult(u, a, gamma, sum_sq / gamma, l, start))
     except NumericError as err:
         # every numeric failure names the sweep, block and inner iteration
         err.context.update(_ctx(ctx, l))
         raise
-    return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l), tr
+    return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l, start=start), tr
 
 
 def _ctx(ctx, l):

@@ -46,7 +46,7 @@ import collections
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -89,7 +89,8 @@ class SolverParams:
     needs fixed weights and refuses the safeguard.
     ``x0`` (a :class:`BlockVector`) and ``lam0`` (anything that converts
     to a 1-d float array; kept as that array) are an optional finite
-    starting point.  Every real field must be a real scalar, not a bool.
+    starting point; ``==`` compares them by value.  Every real field must
+    be a real scalar, not a bool.
     """
 
     mode: str = "convex"
@@ -139,6 +140,23 @@ class SolverParams:
                 raise ConfigError("lam0 must convert to a float array") from None
             if self.lam0.ndim != 1 or not np.isfinite(self.lam0).all():
                 raise ConfigError("lam0 must be a finite 1-d array")
+
+    def __eq__(self, other):
+        # the generated ``==`` compares field tuples, which asks an array
+        # for its truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same_value(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+
+def _same_value(a, b):
+    if isinstance(a, BlockVector):
+        return (isinstance(b, BlockVector) and a.dims == b.dims
+                and all(map(np.array_equal, a.blocks, b.blocks)))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is not None and b is not None and np.array_equal(a, b)
+    return a == b
 
 
 @dataclass
@@ -227,11 +245,20 @@ def step3_update(M: BlockTriangular, y, z, lam, rho, alpha, residual):
     return y_new, lam_new
 
 
-def gamma_compatible(op, gamma, z_i, y_i):
-    """Safeguard test: ``gamma ||z_i - y_i||^2 >= ||A_i (z_i - y_i)||^2``."""
+def gamma_compatible(op, gamma, z_i, y_i, ad=None):
+    """Safeguard test: ``gamma ||z_i - y_i||^2 >= ||A_i (z_i - y_i)||^2``.
+
+    ``ad``, when given, is ``A_i z_i - A_i y_i`` from images the caller
+    already holds; it equals ``A_i (z_i - y_i)`` up to rounding.  A pass on
+    ``ad`` is taken as a pass without applying ``A_i``; a failure is tested
+    again on ``A_i (z_i - y_i)``, so a ``False`` result always comes from
+    the exact test.
+    """
     d = z_i - y_i
-    ad = op.apply(d)
-    return gamma * float(d @ d) >= float(ad @ ad)
+    dd = gamma * float(d @ d)
+    if ad is None or not dd >= float(ad @ ad):
+        ad = op.apply(d)
+    return dd >= float(ad @ ad)
 
 
 def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
@@ -288,8 +315,10 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
     Gamma = [0.0] * m
     # this sweep's result per block, overwritten in place block by block:
     # run_inner hands a block's entry back unrun once the sweep is known to
-    # repeat the last one's inputs bit for bit
+    # repeat the last one's inputs bit for bit, and starts each block's
+    # first step search at the exponent its last result accepted
     results = [None] * m
+    az = [None] * m
     repeat = False
     eps_prev = float("inf")
     zbar_sum = BlockVector.zeros(dims)
@@ -304,7 +333,10 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
 
         # --- step 1: sequential block sweep -------------------------------
         ay = [op.apply(yi) for op, yi in zip(ops, y.blocks)]
-        c_full = np.sum(ay, axis=0) if m > 1 else ay[0].copy()
+        # the blocks' images summed in order, as a fresh array
+        c_full = ay[0] + ay[1] if m > 1 else ay[0].copy()
+        for a in ay[2:]:
+            c_full += a
         for i in range(m):
             b_i = problem.b - c_full + ay[i]
             if exact:
@@ -325,11 +357,13 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
                 res, _ = run_inner(
                     problem.blocks[i], x.blocks[i], y.blocks[i], lam, b_i,
                     rho_k, gammas[i], params, Gamma_prev=floor, psi_eps=eps_prev,
-                    ctx=(k, i), prev=results[i] if repeat else None, ay_i=ay[i])
+                    ctx=(k, i), prev=results[i] if repeat else None, ay_i=ay[i],
+                    start=0 if results[i] is None else results[i].start)
             results[i] = res
             # c_full is this sweep's own array, so it is updated in place
             c_full -= ay[i]
-            c_full += ops[i].apply(res.z)
+            az[i] = ops[i].apply(res.z)
+            c_full += az[i]
 
         z = BlockVector._wrap([res.z for res in results], dims)
         x_next = BlockVector._wrap([res.x_next for res in results], dims)
@@ -347,11 +381,15 @@ def solve(problem: ProblemSpec, params: SolverParams = None, ref=None):
         # --- safeguard: grow diagonal weights that the sweep outran -------
         # bump until compatible, one event per bump: a single bump can leave
         # a tiny weight far below ||A_i^T A_i||, and the corrective step then
-        # throws y and lam so far that the next sweep's inner loop cannot finish
+        # throws y and lam so far that the next sweep's inner loop cannot finish.
+        # A block's first test reads the images the sweep holds, A_i z_i - A_i y_i;
+        # a retest after a bump applies A_i to z_i - y_i
         changed = False
         if params.gamma_mode == "safeguard":
             for i in range(m):
-                while not gamma_compatible(ops[i], gammas[i], z.blocks[i], y.blocks[i]):
+                ad = az[i] - ay[i]
+                while not gamma_compatible(ops[i], gammas[i], z.blocks[i], y.blocks[i], ad):
+                    ad = None
                     old = gammas[i]
                     gammas[i] *= GAMMA_FACTOR
                     if not math.isfinite(gammas[i]):

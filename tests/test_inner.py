@@ -1,6 +1,7 @@
 """Inner accelerated loop: step sizes, prox steps, stopping, estimates."""
 
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -14,6 +15,7 @@ from iadmm.oracle import subproblem_minimizer
 from iadmm.outer import SolverParams
 from iadmm.problem import Block
 from iadmm.proxlib import ProxTerm, l1_prox, quadratic, zero_prox, zero_smooth
+from reference_inner import params_adaptive as frozen
 from reference_inner import run_inner_reference
 from test_inner_reference import _assert_same
 
@@ -131,6 +133,93 @@ def test_params_adaptive_exhaustion_raises():
                         max_backtracks=5)
 
 
+def _scripted(passes):
+    """``accept`` passing exactly the exponents in ``passes``, recording each one tried.
+
+    At ``Lambda_prev = 0``, ``delta0 = 1`` and ``eta = 2`` a trial's ratio
+    ``delta / alpha`` is ``2**j`` exactly; the payload is the exponent.
+    """
+    tried = []
+
+    def accept(delta, alpha):
+        j = round(math.log2(delta / alpha))
+        tried.append(j)
+        return j in passes, j
+
+    return accept, tried
+
+
+@pytest.mark.parametrize("start,passes,tried", [
+    # the guess passes, and the walk down stops at the first failure even
+    # though a smaller exponent would pass again
+    (6, {1} | set(range(3, 61)), [6, 5, 4, 3, 2]),
+    # the guess fails, and the search goes up as the cold search would
+    (2, set(range(5, 61)), [2, 3, 4, 5]),
+    # every exponent passes: the walk ends at the cold start, never below it
+    (3, set(range(61)), [3, 2, 1, 0]),
+    # a guess at the cold start never walks
+    (0, set(range(61)), [0]),
+])
+def test_params_adaptive_warm_start(start, passes, tried):
+    accept, seen = _scripted(passes)
+    delta, alpha, n, j = params_adaptive(0.0, 1.0, 2.0, accept, start=start)
+    assert seen == tried
+    # the accepted trial is the last passing one, whose pair is returned
+    assert j == [t for t in tried if t in passes][-1]
+    assert (delta, alpha) == (2.0 ** j, 1.0)
+    # the third value counts the trials run, minus one
+    assert n == len(tried) - 1
+
+
+@pytest.mark.parametrize("Lambda_prev", [0.0, 0.7])
+@pytest.mark.parametrize("first", [0, 1, 4, 60])
+def test_params_adaptive_cold_start_is_unchanged(Lambda_prev, first):
+    # start = 0 (the default) is the frozen search, value for value
+    runs = []
+    for fn, kw in ((params_adaptive, {}), (params_adaptive, {"start": 0}), (frozen, {})):
+        trials = []
+
+        def accept(delta, alpha):
+            trials.append((delta, alpha))
+            return len(trials) > first, len(trials)
+
+        runs.append((fn(Lambda_prev, 0.3, 2.0, accept, **kw), trials))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0][2] == first
+
+
+def _cold_pair(Lambda_prev, delta0, j):
+    # the pair the cold search accepts when exponent ``j`` is the first to pass
+    trials = []
+
+    def accept(delta, alpha):
+        trials.append((delta, alpha))
+        return len(trials) > j, None
+
+    return params_adaptive(Lambda_prev, delta0, 2.0, accept)[:2]
+
+
+def test_params_adaptive_walk_keeps_the_trial_formula():
+    # with Lambda_prev > 0 each trial of the walk down is bit for bit the
+    # cold search's pair for its exponent
+    seen = []
+
+    def accept(delta, alpha):
+        seen.append((delta, alpha))
+        return True, None
+
+    delta, alpha, n, _ = params_adaptive(0.7, 0.3, 2.0, accept, start=3)
+    assert n == 3 and (delta, alpha) == seen[-1]
+    assert seen == [_cold_pair(0.7, 0.3, j) for j in (3, 2, 1, 0)]
+
+
+def test_params_adaptive_warm_exhaustion_raises():
+    accept, tried = _scripted(set())
+    with pytest.raises(NumericError, match="^descent test failed after 5 backtracks$"):
+        params_adaptive(0.0, 1.0, 2.0, accept, max_backtracks=5, start=2)
+    assert tried == [2, 3, 4, 5]
+
+
 def test_prox_step_stationarity_and_l1_formula():
     # every iterate must satisfy the prox optimality condition of its
     # linearized subproblem; for l1 it is plain soft thresholding of the
@@ -227,12 +316,43 @@ def test_run_inner_hands_back_prev_unrun():
     assert again.x_next is first.x_next and again.z is first.z
 
 
+def test_run_inner_warm_start_keeps_every_bit():
+    # iteration 1 of _block(7) backtracks; a search started at, above or
+    # below its accepted exponent accepts the same trial, and only the
+    # iteration-1 trial count moves
+    blk = _block(7)
+    args = _inner_inputs(7, blk) + (1.0, 2.0, SolverParams(sigma=0.9))
+    kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=6, trace=True)
+    cold, cold_tr = run_inner(blk, *args, **kw)
+    j = cold.start
+    assert j >= 2 and cold_tr.backtracks[0] == j
+    # trials: the guess and the failing exponent below it; the walk down
+    # from j + 3; the climb from j - 1
+    for start, trials in ((j, 2), (j + 3, 5), (j - 1, 2)):
+        warm, warm_tr = run_inner(blk, *args, **kw, start=start)
+        assert warm.start == j
+        assert warm_tr.backtracks == [trials - 1] + cold_tr.backtracks[1:]
+        warm_tr.backtracks = cold_tr.backtracks
+        _assert_same((warm, warm_tr), (cold, cold_tr))
+    # a replayed result keeps its start
+    again, _ = run_inner(blk, *args, Gamma_prev=0.0, psi_eps=np.inf, prev=cold)
+    assert again.start == j
+
+
+@pytest.mark.parametrize("start", [-1, iadmm.inner.MAX_BACKTRACKS + 1])
+def test_run_inner_start_must_be_an_exponent(start):
+    blk = _block(7)
+    with pytest.raises(ConfigError, match="start"):
+        run_inner(blk, *_inner_inputs(7, blk), 1.0, 2.0, SolverParams(), Gamma_prev=0.0,
+                  psi_eps=np.inf, start=start)
+
+
 def _trial_alphas(monkeypatch):
     """Record the ``alpha`` of every adaptive trial, one list per inner iteration."""
     iters = []
     real = iadmm.inner.params_adaptive
 
-    def recording(Lambda_prev, delta0, eta, accept, max_backtracks):
+    def recording(Lambda_prev, delta0, eta, accept, max_backtracks, start=0):
         alphas = []
         iters.append(alphas)
 
@@ -240,7 +360,7 @@ def _trial_alphas(monkeypatch):
             alphas.append(alpha)
             return accept(delta, alpha)
 
-        return real(Lambda_prev, delta0, eta, accept_recorded, max_backtracks)
+        return real(Lambda_prev, delta0, eta, accept_recorded, max_backtracks, start=start)
 
     monkeypatch.setattr(iadmm.inner, "params_adaptive", recording)
     return iters

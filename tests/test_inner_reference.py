@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iadmm.inner
 import iadmm.outer
@@ -12,7 +14,7 @@ from iadmm.errors import NumericError
 from iadmm.inner import run_inner
 from iadmm.outer import SolverParams, solve
 from iadmm.problem import Block
-from iadmm.problems import from_id
+from iadmm.problems import from_id, gen_lasso, gen_qp
 from iadmm.proxlib import (group_l2_prox, l1_prox, quadratic, quadratic_smooth,
                            zero_prox, zero_smooth)
 from reference_inner import run_inner_reference
@@ -141,9 +143,10 @@ def test_solve_is_bitwise_repeatable(entry):
     assert _solve_bits(entry) == _solve_bits(entry)
 
 
-def _reference_without_reuse(*args, prev=None, ay_i=None, **kw):
-    # the frozen loop knows no ``prev`` and no ``ay_i``: it re-runs every
-    # solve and applies ``A_i`` to ``y_i`` itself
+def _reference_without_reuse(*args, prev=None, ay_i=None, start=0, **kw):
+    # the frozen loop knows no ``prev``, no ``ay_i`` and no warm ``start``:
+    # it re-runs every solve, applies ``A_i`` to ``y_i`` itself and starts
+    # every first step search cold
     return run_inner_reference(*args, **kw)
 
 
@@ -153,26 +156,58 @@ FIXED_POINT = dict(alpha=0.5, tol=0.0, max_outer=900)
 # three structured blocks, two with zero smooth terms; the safeguard grows
 # block 0's weight once (sweep 320 of 817)
 SAFEGUARD = dict(alpha=0.9, gamma_mode="safeguard", tol=1e-3)
+# the growing penalty of the bench's strong job, on a shorter horizon
+STRONG = dict(mode="strong", alpha=0.5, tol=0.0, max_outer=200)
 
 
-@pytest.mark.parametrize("entry,params", [
-    ("qp-1-m2", {}), ("lasso-1", {}), ("qp-2-m2", FIXED_POINT), ("img-0-s16", SAFEGUARD),
-], ids=["qp-1-m2", "lasso-1", "qp-2-m2-fixed-point", "img-0-s16-safeguard"],
-    indirect=["entry"])
-def test_solve_matches_reference_loop(entry, params, monkeypatch):
-    iters = []
+def _check_against_reference(entry, params, mp):
+    """Solve once with the loop and once with the frozen cold loop; the bits must agree."""
+    calls = []
     real = iadmm.outer.run_inner
 
     def counting(*args, **kw):
         res, tr = real(*args, **kw)
-        iters.append(res.iters)
+        calls.append((kw["ctx"], kw["start"], res))
         return res, tr
 
-    monkeypatch.setattr(iadmm.outer, "run_inner", counting)
+    mp.setattr(iadmm.outer, "run_inner", counting)
     new = _solve_bits(entry, **params)
+    # each block's first step search starts where its last sweep's was
+    # accepted, cold on sweep 1, and warm somewhere
+    last = {}
+    for (_, i), start, res in calls:
+        assert start == last.get(i, 0)
+        last[i] = res.start
+    assert any(start > 0 for _, start, _ in calls)
+    mp.setattr(iadmm.outer, "run_inner", _reference_without_reuse)
+    assert _solve_bits(entry, **params) == new
+    return new, [res.iters for _, _, res in calls]
+
+
+@pytest.mark.parametrize("entry,params", [
+    ("qp-1-m2", {}), ("lasso-1", {}), ("qp-2-m2", FIXED_POINT), ("img-0-s16", SAFEGUARD),
+    ("qp-2-m2-mu0.5", STRONG),
+], ids=["qp-1-m2", "lasso-1", "qp-2-m2-fixed-point", "img-0-s16-safeguard",
+        "qp-2-m2-mu0.5-strong"], indirect=["entry"])
+def test_solve_matches_reference_loop(entry, params, monkeypatch):
+    new, iters = _check_against_reference(entry, params, monkeypatch)
     if params is FIXED_POINT:
         assert 0 in iters
     if params is SAFEGUARD:
         assert "gamma-safeguard" in new[5]
-    monkeypatch.setattr(iadmm.outer, "run_inner", _reference_without_reuse)
-    assert _solve_bits(entry, **params) == new
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["convex", "strong", "lasso"]), seed=st.integers(0, 10 ** 6),
+       m=st.integers(2, 4), alpha=st.floats(0.05, 0.95), rho=st.floats(0.1, 10.0))
+def test_solve_matches_reference_loop_on_draws(kind, seed, m, alpha, rho):
+    # the warm first step search against the frozen cold one beyond the
+    # fixtures: random QPs in both penalty modes and random lasso problems
+    if kind == "lasso":
+        entry = gen_lasso(seed)
+    else:
+        entry = gen_qp(seed, m=m, mu=0.5 if kind == "strong" else 0.0)
+    params = dict(mode="strong" if kind == "strong" else "convex", alpha=alpha, rho=rho,
+                  tol=0.0, max_outer=60)
+    with pytest.MonkeyPatch.context() as mp:
+        _check_against_reference(entry, params, mp)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import logging
+import math
 import struct
 
 import numpy as np
@@ -102,6 +103,24 @@ def test_gamma_compatible_matches_definition():
     assert gamma_compatible(A, 1e-12, y, y)
 
 
+def test_gamma_compatible_takes_a_pass_on_the_given_image():
+    # ``ad`` stands for A (z - y): a pass on it is taken as is, and a
+    # failure is tested again on A (z - y), which then decides
+    rng = np.random.default_rng(0x6B)
+    A = DenseMap(rng.standard_normal((5, 3)))
+    z = rng.standard_normal(3)
+    y = rng.standard_normal(3)
+    d = z - y
+    ratio = float(np.linalg.norm(A.apply(d)) ** 2) / float(d @ d)
+    ad = A.apply(z) - A.apply(y)
+    for gamma in (ratio * (1.0 + 1e-9), ratio * (1.0 - 1e-9)):
+        assert gamma_compatible(A, gamma, z, y, ad) == gamma_compatible(A, gamma, z, y)
+    huge = np.full(5, 1e3)
+    assert gamma_compatible(A, ratio * (1.0 + 1e-9), z, y, huge)
+    assert not gamma_compatible(A, ratio * (1.0 - 1e-9), z, y, huge)
+    assert gamma_compatible(A, ratio * (1.0 - 1e-9), z, y, np.zeros(5))
+
+
 def test_exact_block_step_matches_dense_solve():
     # one exact-mode sweep from zero: each block is the dense subproblem
     # solution against the newest point of the block before it, the
@@ -118,6 +137,22 @@ def test_exact_block_step_matches_dense_solve():
     assert np.array_equal(report.x.to_flat(), report.z.to_flat())
     assert report.history.R.tolist() == [0.0]
     assert report.history.Gammas == [(0.0, 0.0)]
+
+
+def test_solver_params_compare_starts_by_value():
+    assert SolverParams(lam0=[1.0, 2.0]) == SolverParams(lam0=[1.0, 2.0])
+    assert SolverParams(lam0=[1.0, 2.0]) != SolverParams(lam0=[1.0, 3.0])
+    assert SolverParams(lam0=[1.0, 2.0]) != SolverParams(lam0=[1.0, 2.0, 0.0])
+    assert SolverParams(lam0=[1.0, 2.0]) != SolverParams()
+    assert SolverParams() != SolverParams(lam0=[1.0, 2.0])
+    x0 = BlockVector([np.ones(2), np.zeros(1)])
+    assert SolverParams(x0=x0, lam0=[1.0]) == SolverParams(x0=x0.copy(), lam0=[1.0])
+    assert SolverParams(x0=x0) != SolverParams(x0=BlockVector([np.ones(3)]))
+    assert SolverParams(x0=x0) != SolverParams(x0=BlockVector([np.ones(2), np.ones(1)]))
+    assert SolverParams(x0=x0) != SolverParams()
+    assert SolverParams() == SolverParams()
+    assert SolverParams(rho=2.0) != SolverParams()
+    assert SolverParams() != "convex"
 
 
 def test_solver_params_validation():
@@ -487,6 +522,66 @@ def test_safeguard_bumps_a_weight_until_compatible(monkeypatch):
     assert report.cause == "max-iterations" and report.iterations == 60
     first = [e["block"] for e in report.events if e["event"] == "gamma-safeguard" and e["k"] == 1]
     assert (first.count(0), first.count(1)) == (8, 7)
+
+
+def _safeguard_run(monkeypatch, spoil=None):
+    """qp-2-m2 from tiny weights, with ``spoil`` replacing each image the solve hands the test."""
+    monkeypatch.setattr(iadmm.outer, "GAMMA_INIT", 1e-3)
+    real = iadmm.outer.gamma_compatible
+    calls = []
+
+    def recorded(op, gamma, z_i, y_i, ad=None):
+        if ad is not None and spoil is not None:
+            ad = spoil(op, gamma, z_i, y_i, ad)
+        ok = real(op, gamma, z_i, y_i, ad)
+        calls.append((ad is not None, ok))
+        return ok
+
+    monkeypatch.setattr(iadmm.outer, "gamma_compatible", recorded)
+    entry = from_id("qp-2-m2")
+    params = SolverParams(gamma_mode="safeguard", alpha=0.9, tol=0.0, max_outer=60)
+    rep = solve(entry.problem, params)
+    return (rep.events, rep.z.to_flat().tobytes(), rep.lam.tobytes()), calls
+
+
+def test_safeguard_tests_each_block_once_per_sweep_and_once_per_bump(monkeypatch):
+    (events, _, _), calls = _safeguard_run(monkeypatch)
+    assert len(events) >= 15
+    assert sum(not ok for _, ok in calls) == len(events)
+    assert len(calls) == 60 * 2 + len(events)
+    # the first test of each block reads the sweep's images, no retest does
+    assert sum(given for given, _ in calls) == 60 * 2
+
+
+def test_safeguard_image_that_passes_wrongly_cannot_stop_the_bumps(monkeypatch):
+    # each image fails where the exact test fails, at the weight it is first
+    # tested at, and passes at any larger weight: were it tested again after
+    # a bump, the 8 and 7 bumps of sweep 1 would stop after one
+    kept = {}
+
+    def spoil(op, gamma, z_i, y_i, ad):
+        if id(ad) not in kept:
+            d = z_i - y_i
+            exact = op.apply(d)
+            wrong = d * math.sqrt(gamma * (1.0 + 1e-6))
+            kept[id(ad)] = (ad, wrong if gamma * float(d @ d) < float(exact @ exact) else ad)
+        return kept[id(ad)][1]
+
+    spoiled, _ = _safeguard_run(monkeypatch, spoil)
+    monkeypatch.undo()
+    plain, _ = _safeguard_run(monkeypatch)
+    first = [e["block"] for e in spoiled[0] if e["k"] == 1]
+    assert (first.count(0), first.count(1)) == (8, 7)
+    assert spoiled == plain
+
+
+def test_safeguard_image_that_fails_wrongly_causes_no_bump(monkeypatch):
+    # an image that fails at every weight leaves each decision to the exact test
+    spoiled, calls = _safeguard_run(monkeypatch, lambda op, g, z_i, y_i, ad: np.full_like(ad, 1e100))
+    monkeypatch.undo()
+    plain, _ = _safeguard_run(monkeypatch)
+    assert spoiled == plain
+    assert sum(given and ok for given, ok in calls) > 0
 
 
 def test_safeguard_raises_when_a_weight_overflows(monkeypatch):
