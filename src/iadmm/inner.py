@@ -22,11 +22,12 @@ step ``1 / (delta + rho * gamma_i)``.
 
 Two parameter rules are supported; :func:`run_inner` takes the solve's
 own :class:`~iadmm.outer.SolverParams` and reads only its step-size
-``rule`` and descent slack ``sigma`` (the penalty ``rho`` it is handed
-separately is the sweep's ``rho_k``, not ``params.rho``).  The constant
-rule uses ``delta_l = 2 zeta / ((1 - sigma) l)`` and
-``alpha_l = 2 / (l + 1)``, which needs a Lipschitz bound ``zeta`` for
-``grad f_i`` and satisfies the descent test automatically.  The adaptive
+``rule``, descent slack ``sigma`` and solve ``mode`` (the penalty
+``rho`` it is handed separately is the sweep's ``rho_k``, not
+``params.rho``).  The constant rule uses
+``delta_l = 2 zeta / ((1 - sigma) l)`` and ``alpha_l = 2 / (l + 1)``,
+which needs a Lipschitz bound ``zeta`` for ``grad f_i`` and satisfies
+the descent test automatically.  The adaptive
 rule backtracks a ratio ``delta / alpha`` until the descent test holds and
 derives ``(delta, alpha)`` from the accumulator
 ``Lambda = sum_l 1 / delta_l``.
@@ -39,8 +40,9 @@ and takes ``alpha_l`` from the same accumulator, whatever the rule.
 
 The loop's fixed bounds are module constants, not settings: the
 proximal-weight range ``DELTA_MIN``/``DELTA_MAX``, the adaptive rule's
-backtracking factor ``ETA`` and backtrack cap ``MAX_BACKTRACKS``, and the
-iteration cap ``MAX_ITERS`` of a loop that stops by its own test.
+backtracking factor ``ETA`` and backtrack cap ``MAX_BACKTRACKS``, the
+iteration cap ``MAX_ITERS`` of a loop that stops by its own test, and the
+hold's rounding scale ``HOLD_ULPS``.
 
 All three cases run through one loop.  The rule picks
 ``(delta, alpha)``; one trial then evaluates ``f_i`` and its gradient at
@@ -94,6 +96,25 @@ threshold derived from the previous outer residual.  Numeric failures
 raise :class:`NumericError` with the inner iteration, and the sweep and
 block when the caller passes them.
 
+In the growing-penalty (``strong``) mode the floor rises with every
+sweep, so late sweeps run many iterations after the step has fallen to
+rounding, only to lift ``gamma_l``.  A strong loop that stops by its own
+test (with a positive forcing threshold) therefore holds the pair
+``(u, a)`` after the first iteration whose accepted step moves neither
+of them by more than rounding: ``||u - u_prev||^2`` and
+``||a - a_prev||^2`` both at most ``tau2 = (HOLD_ULPS eps)^2 ||x_i||^2``,
+taken once per call, the second tested only when the first passes.  Every
+later trial then returns the held pair at once with a zero step, and the
+rule's ``(delta, alpha)``, the ``gamma``/``Lambda`` recurrences,
+``start`` and the stop test (on the held pair's distance from ``x_i``,
+taken once) run on scalars alone, with no prox, smooth or operator call.
+Such held iterations do no vector work and do not count against
+``MAX_ITERS``; ``gamma_l`` grows without bound, so the held tail always
+reaches its finite floor and forcing threshold.  ``iters`` still counts
+every iteration.  The fixed-penalty and exact modes never hold: their
+bitwise fixed points feed the outer loop's repeat test and the ``prev``
+hand-back, which strong mode uses neither of.
+
 A caller that passes the block's previous result as ``prev`` gets that
 result back unrun, with ``iters = 0``.  The loop compares nothing: the
 outer solve passes ``prev`` only after it has found that the whole sweep
@@ -120,6 +141,10 @@ DELTA_MAX = 1e6
 ETA = 2.0
 MAX_BACKTRACKS = 60
 MAX_ITERS = 10_000
+# a strong-mode loop holds its pair once an accepted step moves neither
+# ``u`` nor ``a`` by more than this many units of rounding of ``||x_i||``
+HOLD_ULPS = 4
+_EPS = math.ulp(1.0)
 
 
 @dataclass
@@ -221,10 +246,14 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         The sweep's penalty ``rho_k`` (which in strong mode differs from
         ``params.rho``) and the block's diagonal weight in ``M``.
     params : SolverParams
-        The solve's parameters; only the step-size ``rule`` and the
-        descent slack ``sigma`` are read.  The loop's other bounds are the
-        module constants ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``,
-        ``MAX_BACKTRACKS`` and ``MAX_ITERS``.
+        The solve's parameters; only the step-size ``rule``, the descent
+        slack ``sigma`` and the ``mode`` are read.  In ``strong`` mode a
+        loop without ``force_iters`` holds its pair once a step is
+        rounding (see the module docstring).  The loop's other bounds are
+        the module constants ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``,
+        ``MAX_BACKTRACKS``, ``MAX_ITERS`` (which counts only iterations
+        that do vector work, so a held tail may run past it) and
+        ``HOLD_ULPS``.
     Gamma_prev : float
         Floor that ``gamma_l`` must reach before the loop may stop.  With
         a fixed penalty it is the accuracy weight ``Gamma_i^{k-1}`` reached
@@ -273,6 +302,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
     if prev is not None:
         return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0, prev.start), None
     stop = force_iters is None
+    limit = MAX_ITERS if stop else force_iters
     adaptive = params.rule == "adaptive" and not zero_f
     value_grad, sigma = smooth.value_grad, params.sigma
 
@@ -282,6 +312,12 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
     ry = rho * gamma_i * y_i
     rw = rho * op.adjoint((op.apply(y_i) if ay_i is None else ay_i) - b_i + lam / rho)
     delta0 = min(max(1.0, DELTA_MIN), DELTA_MAX)
+    # squared rounding scale of the hold; a negative one never holds
+    tau2 = -1.0
+    if stop and params.mode == "strong" and psi_eps > 0.0:
+        tau2 = (HOLD_ULPS * _EPS) ** 2 * float(x_i.dot(x_i))
+    # ``(u, a, 0.0)``, the payload of every trial once the pair is held
+    held = None
     u_prev = a_prev = x_i
     gamma = Lambda = sum_sq = 0.0
     backtracks = l = 0
@@ -302,6 +338,8 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         # place (addition commutes exactly): ``a_bar = a_keep + u_prev alpha``,
         # ``v = (u_prev delta + ry - g - rw) / scale``, ``a = a_keep + u alpha``.
         nonlocal memo
+        if held is not None:
+            return True, held
         if memo is not None and memo[0] == alpha:
             a_keep, a_bar, f_bar, g = memo[1:]
         else:
@@ -334,7 +372,8 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         return lhs >= f_a - _LS_SLACK * (1.0 + abs(f_a)), (u, a, dsq)
 
     try:
-        for l in range(1, (MAX_ITERS if stop else force_iters) + 1):
+        while True:
+            l += 1
             memo = None
             if adaptive:
                 if l == 1:
@@ -374,15 +413,25 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
                 tr.backtracks.append(backtracks)
 
             if stop and gamma >= Gamma_prev:
-                d = a - x_i
-                if math.sqrt(float(d.dot(d))) <= psi_eps * math.sqrt(gamma):
+                if held is None:
+                    d = a - x_i
+                    dist = math.sqrt(float(d.dot(d)))
+                if dist <= psi_eps * math.sqrt(gamma):
                     break
+            if held is None and dsq <= tau2:
+                d = a - a_prev
+                if float(d.dot(d)) <= tau2:
+                    held = (u, a, 0.0)
+                    d = a - x_i
+                    dist = math.sqrt(float(d.dot(d)))
             u_prev, a_prev = u, a
-        else:
-            if stop:
-                raise NumericError(
-                    "inner loop hit its iteration cap (%d)" % MAX_ITERS,
-                    best=InnerResult(u, a, gamma, sum_sq / gamma, l, start))
+            # a held iteration does no vector work and is not counted
+            if l == limit and held is None:
+                if stop:
+                    raise NumericError(
+                        "inner loop hit its iteration cap (%d)" % MAX_ITERS,
+                        best=InnerResult(u, a, gamma, sum_sq / gamma, l, start))
+                break
     except NumericError as err:
         # every numeric failure names the sweep, block and inner iteration
         err.context.update(_ctx(ctx, l))

@@ -120,6 +120,32 @@ def test_tracer_counts_every_block_solve_past_a_fixed_point():
     _assert_same_history(traced.history, plain.history)
 
 
+def test_tracer_counts_a_held_strong_solve():
+    # strong mode holds a block's inner pair once its step is rounding (on
+    # qp-2-m2-mu0.5 first at sweep 95): the loop is still called once per
+    # block and sweep (the bench's inner.calls check), tracing moves no bit,
+    # and a held trial calls no prox, so prox spans fall below the trials
+    entry = from_id("qp-2-m2-mu0.5")
+    sweeps = 120
+    params = SolverParams(mode="strong", alpha=0.5, tol=0.0, max_outer=sweeps)
+    plain = solve(entry.problem, params)
+    tracer = _load_spans().Tracer()
+    tracer.patch_modules(iadmm)
+    tracer.patch_instances([entry.problem])
+    tracer.install()
+    try:
+        traced = solve(entry.problem, params)
+    finally:
+        tracer.uninstall()
+
+    labels = [tracer.labels[i] for i in tracer.name]
+    assert sum(lab.startswith("inner.run_inner.") for lab in labels) == sweeps * entry.problem.m
+    _assert_same_history(traced.history, plain.history)
+    notes = tracer.notes
+    trials = notes["iters"] + notes["backtracks"]
+    assert 0 < sum(lab.startswith("proxlib.prox.") for lab in labels) < trials
+
+
 def test_tracer_times_the_gradients_of_a_tracked_solve():
     # a reference-tracked solve takes one gradient per block and sweep, in
     # ``kkt_error``; the tracer shadows each term's bound ``grad`` method

@@ -1,7 +1,9 @@
 """Inner accelerated loop: step sizes, prox steps, stopping, estimates."""
 
+import collections
 import dataclasses
 import math
+import struct
 import types
 
 import numpy as np
@@ -496,6 +498,81 @@ def test_run_inner_cap_raises_with_context(monkeypatch):
     assert info.value.best is not None
 
 
+def _counted(blk):
+    """``blk`` with its prox and smooth callables counting their calls."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    smooth = dataclasses.replace(blk.smooth, value=counting("value", blk.smooth.value),
+                                 value_grad=counting("value_grad", blk.smooth.value_grad))
+    nonsmooth = dataclasses.replace(blk.nonsmooth, prox=counting("prox", blk.nonsmooth.prox))
+    return Block(smooth, nonsmooth, blk.op), calls
+
+
+def _minimizer_start(seed, weight):
+    # a block started at its own subproblem's minimizer: iteration 1's
+    # step is rounding, far below the forcing test's needs
+    blk = _block(seed, weight=weight)
+    _, y_i, lam, b_i = _inner_inputs(seed, blk)
+    xbar = subproblem_minimizer(blk, y_i, lam, b_i, 1.0, 2.0)
+    return blk, (xbar, y_i, lam, b_i, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.1])
+def test_strong_loop_holds_its_pair_once_the_step_is_rounding(weight):
+    # from iteration 2 on the strong loop holds (u, a): every trial returns
+    # the held pair with a zero step and evaluates nothing, while the
+    # (delta, alpha, gamma) recurrences run as in the frozen loop
+    blk, args = _minimizer_start(3, weight)
+    kw = dict(Gamma_prev=1e4, psi_eps=1e-3, trace=True)
+    params = SolverParams(mode="strong", sigma=0.9)
+    counted, calls = _counted(blk)
+    run_inner(counted, *args, params, Gamma_prev=0.0, psi_eps=np.inf, force_iters=1)
+    first = dict(calls)
+    calls.clear()
+    res, tr = run_inner(counted, *args, params, **kw)
+    ref, ref_tr = run_inner_reference(blk, *args, params, **kw)
+    assert res.iters == ref.iters > 10
+    assert tr.step_sq[0] > 0.0 and tr.step_sq[1:] == [0.0] * (res.iters - 1)
+    for name in ("deltas", "alphas", "gammas"):
+        got, want = getattr(tr, name), getattr(ref_tr, name)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want], name
+    # only iteration 1 evaluated the prox and the smooth term
+    assert calls == first
+    # the fixed-penalty loop keeps every bit of the frozen one
+    convex = SolverParams(mode="convex", sigma=0.9)
+    _assert_same(run_inner(blk, *args, convex, **kw),
+                 run_inner_reference(blk, *args, convex, **kw))
+
+
+def test_held_strong_loop_finishes_past_the_cap(monkeypatch):
+    # only iterations that do vector work count against MAX_ITERS; a held
+    # tail runs its scalar recurrences until gamma reaches its floor
+    blk, args = _minimizer_start(3, 0.1)
+    monkeypatch.setattr(iadmm.inner, "MAX_ITERS", 3)
+    res, tr = run_inner(blk, *args, SolverParams(mode="strong", sigma=0.9),
+                        Gamma_prev=1e4, psi_eps=1e-3, trace=True)
+    assert res.iters > 3 and res.Gamma >= 1e4
+    assert sum(s > 0.0 for s in tr.step_sq) == 1
+
+
+def test_unheld_strong_loop_raises_at_the_cap(monkeypatch):
+    # a strong loop far from its minimizer does not hold within the cap
+    blk = _block(33)
+    x_i, y_i, lam, b_i = _inner_inputs(33, blk)
+    monkeypatch.setattr(iadmm.inner, "MAX_ITERS", 3)
+    with pytest.raises(NumericError, match=r"iteration cap \(3\)") as info:
+        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, SolverParams(mode="strong", sigma=0.9),
+                  Gamma_prev=1e4, psi_eps=1e-12, ctx=(4, 1))
+    assert info.value.context == {"inner_iteration": 3, "outer_iteration": 4, "block": 1}
+    assert info.value.best.iters == 3
+
+
 def test_run_inner_force_iters_must_be_positive():
     blk = _block(33)
     x_i, y_i, lam, b_i = _inner_inputs(33, blk)
@@ -592,13 +669,16 @@ def test_overflowing_finite_step_is_not_an_error(case):
 
 def test_inner_loop_bounds_are_module_constants():
     # the loop's bounds are fixed constants, not settings, and run_inner
-    # reads only the rule and sigma of the parameters it is handed
+    # reads only the rule, sigma and mode of the parameters it is handed
     assert (iadmm.inner.DELTA_MIN, iadmm.inner.DELTA_MAX, iadmm.inner.ETA,
-            iadmm.inner.MAX_BACKTRACKS, iadmm.inner.MAX_ITERS) == (1e-6, 1e6, 2.0, 60, 10_000)
+            iadmm.inner.MAX_BACKTRACKS, iadmm.inner.MAX_ITERS,
+            iadmm.inner.HOLD_ULPS) == (1e-6, 1e6, 2.0, 60, 10_000, 4)
     blk = _block(45)
     args = _inner_inputs(45, blk) + (1.0, 2.0)
-    kw = dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=8, trace=True)
-    for rule in ("constant", "adaptive"):
-        bare = types.SimpleNamespace(rule=rule, sigma=0.9)
-        _assert_same(run_inner(blk, *args, bare, **kw),
-                     run_inner(blk, *args, SolverParams(rule=rule, sigma=0.9), **kw))
+    for kw in (dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=8, trace=True),
+               dict(Gamma_prev=5.0, psi_eps=0.1, trace=True)):
+        for rule in ("constant", "adaptive"):
+            for mode in ("convex", "strong"):
+                bare = types.SimpleNamespace(rule=rule, sigma=0.9, mode=mode)
+                full = SolverParams(rule=rule, sigma=0.9, mode=mode)
+                _assert_same(run_inner(blk, *args, bare, **kw), run_inner(blk, *args, full, **kw))
