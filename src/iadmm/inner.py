@@ -22,9 +22,9 @@ step ``1 / (delta + rho * gamma_i)``.
 
 Two parameter rules are supported; :func:`run_inner` takes the solve's
 own :class:`~iadmm.outer.SolverParams` and reads only its step-size
-``rule``, descent slack ``sigma`` and solve ``mode`` (the penalty
-``rho`` it is handed separately is the sweep's ``rho_k``, not
-``params.rho``).  The constant rule uses
+``rule``, descent slack ``sigma``, solve ``mode`` and tolerance ``tol``
+(the penalty ``rho`` it is handed separately is the sweep's ``rho_k``,
+not ``params.rho``).  The constant rule uses
 ``delta_l = 2 zeta / ((1 - sigma) l)`` and ``alpha_l = 2 / (l + 1)``,
 which needs a Lipschitz bound ``zeta`` for ``grad f_i`` and satisfies
 the descent test automatically.  The adaptive
@@ -41,8 +41,8 @@ and takes ``alpha_l`` from the same accumulator, whatever the rule.
 The loop's fixed bounds are module constants, not settings: the
 proximal-weight range ``DELTA_MIN``/``DELTA_MAX``, the adaptive rule's
 backtracking factor ``ETA`` and backtrack cap ``MAX_BACKTRACKS``, the
-iteration cap ``MAX_ITERS`` of a loop that stops by its own test, and the
-hold's rounding scale ``HOLD_ULPS``.
+iteration cap ``MAX_ITERS`` of a loop that stops by its own test, the
+hold's rounding scale ``HOLD_ULPS`` and its tolerance gate ``HOLD_GAP``.
 
 All three cases run through one loop.  The rule picks
 ``(delta, alpha)``; one trial then evaluates ``f_i`` and its gradient at
@@ -96,24 +96,39 @@ threshold derived from the previous outer residual.  Numeric failures
 raise :class:`NumericError` with the inner iteration, and the sweep and
 block when the caller passes them.
 
-In the growing-penalty (``strong``) mode the floor rises with every
-sweep, so late sweeps run many iterations after the step has fallen to
-rounding, only to lift ``gamma_l``.  A strong loop that stops by its own
-test (with a positive forcing threshold) therefore holds the pair
-``(u, a)`` after the first iteration whose accepted step moves neither
-of them by more than rounding: ``||u - u_prev||^2`` and
-``||a - a_prev||^2`` both at most ``tau2 = (HOLD_ULPS eps)^2 ||x_i||^2``,
-taken once per call, the second tested only when the first passes.  Every
-later trial then returns the held pair at once with a zero step, and the
-rule's ``(delta, alpha)``, the ``gamma``/``Lambda`` recurrences,
-``start`` and the stop test (on the held pair's distance from ``x_i``,
-taken once) run on scalars alone, with no prox, smooth or operator call.
-Such held iterations do no vector work and do not count against
+Most iterations of a late call run after the step has fallen to
+rounding, only to lift ``gamma_l`` to its floor: with a fixed penalty
+the forcing test passes long before ``gamma_l`` reaches the last sweep's
+weight, and in the growing-penalty (``strong``) mode the floor rises with
+every sweep.  A loop that stops by its own test (with a positive forcing
+threshold) therefore holds the pair ``(u, a)`` after the first iteration
+whose accepted step has ``||u - u_prev||^2``, ``||a - a_prev||^2`` and
+``||u - a||^2`` all at most ``tau2 = (HOLD_ULPS eps)^2 ||x_i||^2``, taken
+once per call; each is tested only when the ones before it pass.  The
+first two say that the step moved neither point by more than rounding,
+the third that the lookahead ``a`` has caught up with ``u``, so that the
+next ``a_bar`` would be ``u`` too: the held pair is then within rounding
+of a fixed point of the inner map.  Without the third, a small ``alpha``
+could freeze an ``a`` that still trails ``u``.
+
+In the fixed-penalty modes a call may hold only when the solve's ``tol``
+exceeds ``HOLD_GAP sqrt(tau2)``, a gate taken on the block's own
+``||x_i||``.  Such a solve stops by its tolerance long before it reaches
+its rounding floor.  At that floor bitwise repeats decide the outer
+loop's ``stalled`` cause and the ``prev`` hand-back, so a solve with
+``tol = 0`` (a rate study) or below the gate keeps every bit of a loop
+that never holds.  Strong mode uses neither and holds without a gate.
+
+Once the pair is held the rest of the call is a scalar tail, one loop for
+every rule: the rule's ``(delta, alpha)`` (the adaptive rule takes its
+first trial's pair, of ratio ``delta0``, with no search), the
+``gamma``/``Lambda`` recurrences and the stop test, on the held pair's
+distance from ``x_i`` taken once.  The step is zero and no prox, smooth or
+operator call is made; a traced call records each held iteration's
+scalars beside the held pair.  Held iterations do not count against
 ``MAX_ITERS``; ``gamma_l`` grows without bound, so the held tail always
 reaches its finite floor and forcing threshold.  ``iters`` still counts
-every iteration.  The fixed-penalty and exact modes never hold: their
-bitwise fixed points feed the outer loop's repeat test and the ``prev``
-hand-back, which strong mode uses neither of.
+every iteration, and ``start`` is set in iteration 1, before any hold.
 
 A caller that passes the block's previous result as ``prev`` gets that
 result back unrun, with ``iters = 0``.  The loop compares nothing: the
@@ -141,9 +156,12 @@ DELTA_MAX = 1e6
 ETA = 2.0
 MAX_BACKTRACKS = 60
 MAX_ITERS = 10_000
-# a strong-mode loop holds its pair once an accepted step moves neither
-# ``u`` nor ``a`` by more than this many units of rounding of ``||x_i||``
+# a loop holds its pair once an accepted step moves neither ``u`` nor ``a``
+# by more than this many units of rounding of ``||x_i||``, and ``a`` lies
+# that close to ``u``; in a fixed-penalty mode only when the solve's ``tol``
+# exceeds that rounding scale ``HOLD_GAP`` times
 HOLD_ULPS = 4
+HOLD_GAP = 1e3
 _EPS = math.ulp(1.0)
 
 
@@ -180,6 +198,24 @@ class InnerTrace:
     step_sq: list = field(default_factory=list)
     backtracks: list = field(default_factory=list)
 
+    def record(self, delta, alpha, gamma, u, a, step_sq, backtracks):
+        """Append one iteration; ``u`` and ``a`` are kept as given, not copied."""
+        self.deltas.append(delta)
+        self.alphas.append(alpha)
+        self.gammas.append(gamma)
+        self.xis.append(delta * alpha * gamma)
+        self.us.append(u)
+        self.a_s.append(a)
+        self.step_sq.append(step_sq)
+        self.backtracks.append(backtracks)
+
+
+def _adaptive_pair(ratio, Lambda_prev):
+    """The adaptive rule's ``(delta, alpha)`` whose ratio ``delta / alpha`` is ``ratio``."""
+    theta = 1.0 / ratio
+    delta = 2.0 / (theta + math.sqrt(theta * theta + 4.0 * theta * Lambda_prev))
+    return delta, 1.0 / (1.0 + delta * Lambda_prev)
+
 
 def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=MAX_BACKTRACKS, start=0):
     """Backtracking rule: grow ``delta / alpha`` until ``accept`` passes.
@@ -202,9 +238,7 @@ def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=MAX_BACKTRA
     ``start = 0``).
     """
     for j in range(start, max_backtracks + 1):
-        theta = 1.0 / (delta0 * eta ** j)
-        delta = 2.0 / (theta + math.sqrt(theta * theta + 4.0 * theta * Lambda_prev))
-        alpha = 1.0 / (1.0 + delta * Lambda_prev)
+        delta, alpha = _adaptive_pair(delta0 * eta ** j, Lambda_prev)
         ok, payload = accept(delta, alpha)
         if ok:
             if j > start or j == 0:
@@ -212,9 +246,7 @@ def params_adaptive(Lambda_prev, delta0, eta, accept, max_backtracks=MAX_BACKTRA
             # the guess passed at once: walk down while the next smaller
             # exponent passes too, each trial by the same formula
             for i in range(start - 1, -1, -1):
-                theta = 1.0 / (delta0 * eta ** i)
-                d = 2.0 / (theta + math.sqrt(theta * theta + 4.0 * theta * Lambda_prev))
-                a = 1.0 / (1.0 + d * Lambda_prev)
+                d, a = _adaptive_pair(delta0 * eta ** i, Lambda_prev)
                 ok, p = accept(d, a)
                 if not ok:
                     return delta, alpha, start - i, payload
@@ -247,13 +279,16 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         ``params.rho``) and the block's diagonal weight in ``M``.
     params : SolverParams
         The solve's parameters; only the step-size ``rule``, the descent
-        slack ``sigma`` and the ``mode`` are read.  In ``strong`` mode a
-        loop without ``force_iters`` holds its pair once a step is
-        rounding (see the module docstring).  The loop's other bounds are
-        the module constants ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``,
-        ``MAX_BACKTRACKS``, ``MAX_ITERS`` (which counts only iterations
-        that do vector work, so a held tail may run past it) and
-        ``HOLD_ULPS``.
+        slack ``sigma``, the ``mode`` and the tolerance ``tol`` are read.
+        A loop without ``force_iters`` and with a positive ``psi_eps``
+        holds its pair once a step is rounding and ``a`` has caught up
+        with ``u``; in a fixed-penalty mode only when ``tol`` exceeds
+        ``HOLD_GAP`` times the rounding scale ``HOLD_ULPS eps ||x_i||``.
+        The rest of a held call runs on scalars (see the module
+        docstring).  The loop's other bounds are the module constants
+        ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``, ``MAX_BACKTRACKS`` and
+        ``MAX_ITERS``, which counts only iterations that do vector work,
+        so a held tail may run past it.
     Gamma_prev : float
         Floor that ``gamma_l`` must reach before the loop may stop.  With
         a fixed penalty it is the accuracy weight ``Gamma_i^{k-1}`` reached
@@ -314,13 +349,14 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
     delta0 = min(max(1.0, DELTA_MIN), DELTA_MAX)
     # squared rounding scale of the hold; a negative one never holds
     tau2 = -1.0
-    if stop and params.mode == "strong" and psi_eps > 0.0:
-        tau2 = (HOLD_ULPS * _EPS) ** 2 * float(x_i.dot(x_i))
-    # ``(u, a, 0.0)``, the payload of every trial once the pair is held
-    held = None
+    if stop and psi_eps > 0.0:
+        scale_sq = (HOLD_ULPS * _EPS) ** 2 * float(x_i.dot(x_i))
+        if params.mode == "strong" or params.tol > HOLD_GAP * math.sqrt(scale_sq):
+            tau2 = scale_sq
     u_prev = a_prev = x_i
     gamma = Lambda = sum_sq = 0.0
     backtracks = l = 0
+    held = False
     tr = InnerTrace() if trace else None
     if tr is not None:
         tr.us.append(x_i.copy())
@@ -338,8 +374,6 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         # place (addition commutes exactly): ``a_bar = a_keep + u_prev alpha``,
         # ``v = (u_prev delta + ry - g - rw) / scale``, ``a = a_keep + u alpha``.
         nonlocal memo
-        if held is not None:
-            return True, held
         if memo is not None and memo[0] == alpha:
             a_keep, a_bar, f_bar, g = memo[1:]
         else:
@@ -371,6 +405,16 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         lhs = f_bar + float(d.dot(g)) + (1.0 - sigma) * delta / (2.0 * alpha) * float(d.dot(d))
         return lhs >= f_a - _LS_SLACK * (1.0 + abs(f_a)), (u, a, dsq)
 
+    def fixed_pair():
+        # the pair of the rules that do not backtrack, at iteration ``l``
+        if zero_f:
+            # pinned proximal weight; the mixing weight keeps the
+            # delta * alpha * gamma product at one for any delta sequence
+            return DELTA_MIN, 1.0 if l == 1 else 1.0 / (1.0 + DELTA_MIN * Lambda)
+        # constant rule: with zeta the descent test needs no check, and
+        # gamma_l = (1 - sigma) l (l + 1) / (4 zeta)
+        return 2.0 * zeta / ((1.0 - sigma) * l), 2.0 / (l + 1.0)
+
     try:
         while True:
             l += 1
@@ -386,16 +430,7 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
                         Lambda, delta0, ETA, trial, MAX_BACKTRACKS)
                 delta0 = min(max((delta / alpha) / ETA, DELTA_MIN), DELTA_MAX)
             else:
-                if zero_f:
-                    # pinned proximal weight; the mixing weight keeps the
-                    # delta * alpha * gamma product at one for any delta sequence
-                    delta = DELTA_MIN
-                    alpha = 1.0 if l == 1 else 1.0 / (1.0 + delta * Lambda)
-                else:
-                    # constant rule: with zeta the descent test needs no check,
-                    # and gamma_l = (1 - sigma) l (l + 1) / (4 zeta)
-                    delta = 2.0 * zeta / ((1.0 - sigma) * l)
-                    alpha = 2.0 / (l + 1.0)
+                delta, alpha = fixed_pair()
                 u, a, dsq = trial(delta, alpha)[1]
 
             gamma = 1.0 / delta if l == 1 else gamma / (1.0 - alpha)
@@ -403,30 +438,19 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
             Lambda += 1.0 / delta
 
             if tr is not None:
-                tr.deltas.append(delta)
-                tr.alphas.append(alpha)
-                tr.gammas.append(gamma)
-                tr.xis.append(delta * alpha * gamma)
-                tr.us.append(u.copy())
-                tr.a_s.append(a.copy())
-                tr.step_sq.append(dsq)
-                tr.backtracks.append(backtracks)
+                tr.record(delta, alpha, gamma, u.copy(), a.copy(), dsq, backtracks)
 
             if stop and gamma >= Gamma_prev:
-                if held is None:
-                    d = a - x_i
-                    dist = math.sqrt(float(d.dot(d)))
-                if dist <= psi_eps * math.sqrt(gamma):
+                if math.sqrt(_sq(a - x_i)) <= psi_eps * math.sqrt(gamma):
                     break
-            if held is None and dsq <= tau2:
-                d = a - a_prev
-                if float(d.dot(d)) <= tau2:
-                    held = (u, a, 0.0)
-                    d = a - x_i
-                    dist = math.sqrt(float(d.dot(d)))
+            # the pair is held once the step moves neither ``u`` nor ``a``
+            # by more than rounding and ``a`` has caught up with ``u``, so
+            # that ``a_bar`` would be ``u`` too: within rounding a fixed point
+            if dsq <= tau2 and _sq(a - a_prev) <= tau2 and _sq(u - a) <= tau2:
+                held = True
+                break
             u_prev, a_prev = u, a
-            # a held iteration does no vector work and is not counted
-            if l == limit and held is None:
+            if l == limit:
                 if stop:
                     raise NumericError(
                         "inner loop hit its iteration cap (%d)" % MAX_ITERS,
@@ -436,7 +460,32 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         # every numeric failure names the sweep, block and inner iteration
         err.context.update(_ctx(ctx, l))
         raise
+
+    if held:
+        # the held tail: the rule's pair, the gamma/Lambda recurrences and
+        # the stop test on scalars alone, with a zero step; it does not
+        # count against MAX_ITERS, and gamma grows without bound
+        dist = math.sqrt(_sq(a - x_i))
+        if tr is not None:
+            u_kept, a_kept = tr.us[-1], tr.a_s[-1]
+        while True:
+            l += 1
+            if adaptive:
+                delta, alpha = _adaptive_pair(delta0, Lambda)
+                delta0 = min(max((delta / alpha) / ETA, DELTA_MIN), DELTA_MAX)
+            else:
+                delta, alpha = fixed_pair()
+            gamma = gamma / (1.0 - alpha)
+            Lambda += 1.0 / delta
+            if tr is not None:
+                tr.record(delta, alpha, gamma, u_kept, a_kept, 0.0, 0)
+            if gamma >= Gamma_prev and dist <= psi_eps * math.sqrt(gamma):
+                break
     return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l, start=start), tr
+
+
+def _sq(v):
+    return float(v.dot(v))
 
 
 def _ctx(ctx, l):

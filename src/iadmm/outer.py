@@ -75,9 +75,12 @@ class SolverParams:
     subproblem solves to ``exact_tol``).  ``rule`` (``adaptive`` or
     ``constant``) and the descent slack ``sigma`` set the inner loop: each
     sweep hands these parameters to :func:`~iadmm.inner.run_inner`, which
-    reads those two fields and takes the sweep's penalty ``rho_k`` (equal
-    to ``rho`` only in the fixed-penalty modes) as a separate argument.
-    The inner loop's other bounds are constants of :mod:`iadmm.inner`.
+    reads those two fields, ``mode`` and ``tol`` (whether, and in a
+    fixed-penalty mode above which tolerance, a call may hold its pair
+    once its step is rounding), and takes the sweep's penalty ``rho_k``
+    (equal to ``rho`` only in the fixed-penalty modes) as a separate
+    argument.  The inner loop's other bounds are constants of
+    :mod:`iadmm.inner`.
     The residual is
     ``eps_k = ||z - y|| + ||A z - b|| + sqrt(R_k)`` and the forcing
     threshold is ``psi(eps) = eps``: the paper's weights ``theta_1..3`` and

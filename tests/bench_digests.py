@@ -5,6 +5,7 @@ Run from the repository root:
     python3 tests/bench_digests.py                      # the bench jobs
     python3 tests/bench_digests.py --acceptance         # and the acceptance solves
     python3 tests/bench_digests.py --root OTHER_CHECKOUT > other.txt
+    python3 tests/bench_digests.py --per-call [--acceptance]
 
 The jobs are read from ``WORKLOADS`` in ``bench/run.py`` of the checkout
 named by ``--root`` (default: the one holding this script), and the
@@ -16,6 +17,17 @@ an exact-mode run.  ``--acceptance`` adds the solves of
 ``tests/test_acceptance.py`` (criteria 3-9).  The last line digests all the
 lines above it, so two checkouts agree bit for bit when their outputs are
 equal; ``diff`` names the items that differ.
+
+``--per-call`` prints no digests.  It reruns every inner call of the same
+solves through the frozen loop of ``tests/reference_inner.py`` on that
+call's own inputs, and prints one line per solve: the calls run (a call
+handed back from ``prev`` runs nothing and is not checked), the calls whose
+``x_next`` moved from the frozen loop's at all, the calls whose ``iters``,
+``Gamma`` or ``start`` differ from it, the largest relative deviation of
+``x_next`` and of ``z`` with the ``(sweep, block)`` of the call it came
+from, and the largest ``|r - r_ref|`` as a share of the held tail's bound
+``iters (2 HOLD_ULPS eps ||x_i||)^2 / Gamma``.  A solve whose inner loop
+keeps every bit reads ``0 0`` and zeros.
 
 Pytest does not collect this file: it is a script, not a test module.
 """
@@ -82,19 +94,82 @@ def reference_lines(ident, entry):
         ("x_star", ref.x_star.to_flat().tobytes()), ("lam_star", ref.lam_star.tobytes()))]
 
 
+def _rel(got, want):
+    import numpy as np
+
+    diff, size = float(np.linalg.norm(got - want)), float(np.linalg.norm(want))
+    return diff / size if size else (0.0 if diff == 0.0 else float("inf"))
+
+
+class CallCheck:
+    """Wraps ``run_inner`` so that each call is rerun through the frozen loop."""
+
+    def __init__(self, run_inner, reference, hold_ulps):
+        self.run_inner, self.reference, self.hold_ulps = run_inner, reference, hold_ulps
+        self.reset()
+
+    def reset(self):
+        self.ran = self.moved = self.mismatched = 0
+        self.worst = {"x_next": (0.0, None), "z": (0.0, None)}
+        self.r_share = 0.0
+
+    def __call__(self, *args, **kw):
+        import numpy as np
+
+        res, tr = self.run_inner(*args, **kw)
+        if kw.get("prev") is not None:
+            return res, tr
+        kw = {k: v for k, v in kw.items() if k not in ("prev", "ay_i", "start")}
+        ref, ref_tr = self.reference(*args, trace=True, **kw)
+        self.ran += 1
+        self.moved += res.x_next.tobytes() != ref.x_next.tobytes()
+        self.mismatched += (res.iters, _floats([res.Gamma]), res.start) != (
+            ref.iters, _floats([ref.Gamma]), ref_tr.backtracks[0])
+        for name, (top, _) in self.worst.items():
+            dev = _rel(getattr(res, name), getattr(ref, name))
+            if dev > top:
+                self.worst[name] = (dev, kw["ctx"])
+        x_i = args[1]
+        bound = res.iters * (2 * self.hold_ulps * np.finfo(np.float64).eps) ** 2 \
+            * float(x_i.dot(x_i)) / res.Gamma
+        diff = abs(res.r - ref.r)
+        share = diff / bound if bound else (0.0 if diff == 0.0 else float("inf"))
+        self.r_share = max(self.r_share, share)
+        return res, tr
+
+    def line(self, label):
+        parts = ["%s calls %d moved %d mismatched %d" % (label, self.ran, self.moved,
+                                                         self.mismatched)]
+        for name, (dev, ctx) in self.worst.items():
+            parts.append("%s %.2e at %s" % (name, dev, "-" if ctx is None else "%d/%d" % ctx))
+        parts.append("r_share %.3g" % self.r_share)
+        return " ".join(parts)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="checkout whose bench jobs and package are run")
     ap.add_argument("--acceptance", action="store_true",
                     help="also digest the acceptance criteria's solves")
+    ap.add_argument("--per-call", action="store_true",
+                    help="rerun each inner call through the frozen loop instead of digesting")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     # bench/run.py fixes one BLAS thread before numpy is imported
     workloads = load_workloads(root)
     sys.path.insert(0, os.path.join(root, "src"))
+    import iadmm.inner
+    import iadmm.outer
     from iadmm.outer import SolverParams, solve
     from iadmm.problems import from_id
+
+    check = None
+    if args.per_call:
+        sys.path.insert(0, os.path.join(root, "tests"))
+        from reference_inner import run_inner_reference
+        check = CallCheck(iadmm.outer.run_inner, run_inner_reference, iadmm.inner.HOLD_ULPS)
+        iadmm.outer.run_inner = check
 
     entries = {}
     lines = []
@@ -107,7 +182,12 @@ def main(argv=None):
 
     def emit(label, ident, params, track=True):
         e = entry(ident)
+        if check is not None:
+            check.reset()
         rep = solve(e.problem, SolverParams(**params), ref=e.reference if track else None)
+        if check is not None:
+            print(check.line(label), flush=True)
+            return
         out = solve_lines(label, rep)
         lines.extend(out)
         print("\n".join(out), flush=True)
@@ -142,8 +222,9 @@ def main(argv=None):
         emit("criterion-9/img-0-s32", "img-0-s32",
              dict(mode="convex", rule="adaptive", rho=1.0, alpha=0.9, gamma_mode="safeguard",
                   tol=1e-6, max_outer=20_000), track=False)
-    print("\n".join(line for line in lines if " reference." in line))
-    print("all %s" % _sha("\n".join(sorted(lines)).encode()))
+    if check is None:
+        print("\n".join(line for line in lines if " reference." in line))
+        print("all %s" % _sha("\n".join(sorted(lines)).encode()))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Inner accelerated loop: step sizes, prox steps, stopping, estimates."""
 
 import collections
+import copy
 import dataclasses
 import math
 import struct
@@ -499,7 +500,7 @@ def test_run_inner_cap_raises_with_context(monkeypatch):
 
 
 def _counted(blk):
-    """``blk`` with its prox and smooth callables counting their calls."""
+    """``blk`` with its prox, smooth and operator callables counting their calls."""
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -511,43 +512,79 @@ def _counted(blk):
     smooth = dataclasses.replace(blk.smooth, value=counting("value", blk.smooth.value),
                                  value_grad=counting("value_grad", blk.smooth.value_grad))
     nonsmooth = dataclasses.replace(blk.nonsmooth, prox=counting("prox", blk.nonsmooth.prox))
-    return Block(smooth, nonsmooth, blk.op), calls
+    op = copy.copy(blk.op)
+    op.apply, op.adjoint = counting("apply", blk.op.apply), counting("adjoint", blk.op.adjoint)
+    return Block(smooth, nonsmooth, op), calls
 
 
-def _minimizer_start(seed, weight):
+def _minimizer_start(seed, weight, pinned=False):
     # a block started at its own subproblem's minimizer: iteration 1's
     # step is rounding, far below the forcing test's needs
     blk = _block(seed, weight=weight)
+    if pinned:
+        blk = Block(zero_smooth(), blk.nonsmooth, blk.op)
     _, y_i, lam, b_i = _inner_inputs(seed, blk)
     xbar = subproblem_minimizer(blk, y_i, lam, b_i, 1.0, 2.0)
     return blk, (xbar, y_i, lam, b_i, 1.0, 2.0)
 
 
-@pytest.mark.parametrize("weight", [0.0, 0.1])
-def test_strong_loop_holds_its_pair_once_the_step_is_rounding(weight):
-    # from iteration 2 on the strong loop holds (u, a): every trial returns
-    # the held pair with a zero step and evaluates nothing, while the
-    # (delta, alpha, gamma) recurrences run as in the frozen loop
-    blk, args = _minimizer_start(3, weight)
-    kw = dict(Gamma_prev=1e4, psi_eps=1e-3, trace=True)
-    params = SolverParams(mode="strong", sigma=0.9)
+def _assert_holds_after_one(blk, args, params, kw):
+    # from iteration 2 on the loop holds (u, a): the rest of the call has a
+    # zero step and evaluates nothing, while the (delta, alpha, gamma)
+    # recurrences run as in the frozen loop; returns the frozen loop's steps
     counted, calls = _counted(blk)
     run_inner(counted, *args, params, Gamma_prev=0.0, psi_eps=np.inf, force_iters=1)
     first = dict(calls)
     calls.clear()
-    res, tr = run_inner(counted, *args, params, **kw)
-    ref, ref_tr = run_inner_reference(blk, *args, params, **kw)
+    res, tr = run_inner(counted, *args, params, **kw, trace=True)
+    ref, ref_tr = run_inner_reference(blk, *args, params, **kw, trace=True)
     assert res.iters == ref.iters > 10
     assert tr.step_sq[0] > 0.0 and tr.step_sq[1:] == [0.0] * (res.iters - 1)
     for name in ("deltas", "alphas", "gammas"):
         got, want = getattr(tr, name), getattr(ref_tr, name)
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want], name
-    # only iteration 1 evaluated the prox and the smooth term
+    # only iteration 1 made prox, smooth and operator calls
     assert calls == first
-    # the fixed-penalty loop keeps every bit of the frozen one
-    convex = SolverParams(mode="convex", sigma=0.9)
-    _assert_same(run_inner(blk, *args, convex, **kw),
-                 run_inner_reference(blk, *args, convex, **kw))
+    # a traced and an untraced call return the same bits
+    _assert_same((run_inner(blk, *args, params, **kw)[0], None), (res, None))
+    return ref_tr.step_sq
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.1])
+def test_strong_loop_holds_its_pair_once_the_step_is_rounding(weight):
+    blk, args = _minimizer_start(3, weight)
+    kw = dict(Gamma_prev=1e4, psi_eps=1e-3)
+    _assert_holds_after_one(blk, args, SolverParams(mode="strong", sigma=0.9), kw)
+    # the fixed-penalty loop keeps every bit of the frozen one at tol = 0,
+    # and holds as the strong one does at the default tol, above the gate
+    convex = SolverParams(mode="convex", sigma=0.9, tol=0.0)
+    _assert_same(run_inner(blk, *args, convex, **kw, trace=True),
+                 run_inner_reference(blk, *args, convex, **kw, trace=True))
+    _assert_holds_after_one(blk, args, SolverParams(mode="convex", sigma=0.9), kw)
+
+
+@pytest.mark.parametrize("case", ["adaptive", "constant", "pinned"])
+def test_fixed_penalty_hold_is_gated_by_tol(case):
+    # a fixed-penalty call may hold only when tol exceeds HOLD_GAP times the
+    # rounding scale HOLD_ULPS eps ||x_i||; at that gate and below it the
+    # loop keeps every bit of the frozen one
+    blk, args = _minimizer_start(3, 0.1, pinned=case == "pinned")
+    rule = "constant" if case == "constant" else "adaptive"
+    x_i = args[0]
+    eps = np.finfo(np.float64).eps
+    gate = iadmm.inner.HOLD_GAP * math.sqrt((iadmm.inner.HOLD_ULPS * eps) ** 2
+                                            * float(x_i.dot(x_i)))
+    # a zero smooth term starts at gamma = 1 / DELTA_MIN = 1e6
+    kw = dict(Gamma_prev=1e8 if case == "pinned" else 1e4, psi_eps=1e-3)
+    for tol in (float(np.nextafter(gate, 0.0)), gate):
+        params = SolverParams(rule=rule, sigma=0.9, tol=tol)
+        _assert_same(run_inner(blk, *args, params, **kw, trace=True),
+                     run_inner_reference(blk, *args, params, **kw, trace=True))
+    above = SolverParams(rule=rule, sigma=0.9, tol=float(np.nextafter(gate, np.inf)))
+    frozen_steps = _assert_holds_after_one(blk, args, above, kw)
+    # the frozen loop goes on stepping at rounding, so a hold below the gate
+    # would show; the pinned one reaches its fixed point exactly
+    assert any(s > 0.0 for s in frozen_steps[1:]) == (case != "pinned")
 
 
 def test_held_strong_loop_finishes_past_the_cap(monkeypatch):
@@ -669,16 +706,16 @@ def test_overflowing_finite_step_is_not_an_error(case):
 
 def test_inner_loop_bounds_are_module_constants():
     # the loop's bounds are fixed constants, not settings, and run_inner
-    # reads only the rule, sigma and mode of the parameters it is handed
+    # reads only the rule, sigma, mode and tol of the parameters it is handed
     assert (iadmm.inner.DELTA_MIN, iadmm.inner.DELTA_MAX, iadmm.inner.ETA,
-            iadmm.inner.MAX_BACKTRACKS, iadmm.inner.MAX_ITERS,
-            iadmm.inner.HOLD_ULPS) == (1e-6, 1e6, 2.0, 60, 10_000, 4)
+            iadmm.inner.MAX_BACKTRACKS, iadmm.inner.MAX_ITERS, iadmm.inner.HOLD_ULPS,
+            iadmm.inner.HOLD_GAP) == (1e-6, 1e6, 2.0, 60, 10_000, 4, 1e3)
     blk = _block(45)
     args = _inner_inputs(45, blk) + (1.0, 2.0)
     for kw in (dict(Gamma_prev=0.0, psi_eps=np.inf, force_iters=8, trace=True),
                dict(Gamma_prev=5.0, psi_eps=0.1, trace=True)):
         for rule in ("constant", "adaptive"):
             for mode in ("convex", "strong"):
-                bare = types.SimpleNamespace(rule=rule, sigma=0.9, mode=mode)
+                bare = types.SimpleNamespace(rule=rule, sigma=0.9, mode=mode, tol=1e-8)
                 full = SolverParams(rule=rule, sigma=0.9, mode=mode)
                 _assert_same(run_inner(blk, *args, bare, **kw), run_inner(blk, *args, full, **kw))

@@ -159,12 +159,18 @@ SAFEGUARD = dict(alpha=0.9, gamma_mode="safeguard", tol=1e-3)
 # the growing penalty of the bench's strong job, on a shorter horizon,
 # checked call by call
 STRONG = dict(mode="strong", alpha=0.5, tol=0.0, max_outer=200)
+# lasso-1 at the default tol, far above the hold's gate, checked call by
+# call; and the same problem with tol = 0 over the 340 sweeps that solve
+# takes, below the gate, bit for bit
+LASSO_HELD = dict(tol=1e-8)
+LASSO_BELOW_GATE = dict(tol=0.0, max_outer=340)
 
 
-# Strong mode holds each inner pair once an accepted step is rounding, and
-# the frozen loop goes on stepping, so a whole strong solve drifts from the
-# frozen one at rounding.  Each strong call is therefore rerun through the
-# frozen loop on its own inputs: ``iters``, ``Gamma`` and ``start`` must
+# Strong mode, and a fixed-penalty solve whose tol lies above the gate,
+# hold each inner pair once an accepted step is rounding, and the frozen
+# loop goes on stepping, so such a solve drifts from the frozen one at
+# rounding.  Each of its calls is therefore rerun through the frozen loop
+# on its own inputs: ``iters``, ``Gamma`` and ``start`` must
 # agree bit for bit, and the held tail may only drop the frozen loop's
 # later steps, each at rounding of ``||x_i||`` (``HOLD_ULPS eps ||x_i||``):
 # - ``x_next`` and ``z`` agree within HELD_REL of the frozen result.  Over
@@ -189,20 +195,52 @@ def _assert_held_call(res, args, kw):
     return _bits(res.x_next) != _bits(ref.x_next)
 
 
-def _check_against_reference(entry, params, mp):
+# The criterion-5 call whose held pair lay farthest from the frozen loop's
+# result while the hold tested only the step: qp-4-m2-mu0.5 (criterion 5's
+# strong solve, alpha 0.5), sweep 304, block 0, where ``x_next`` and ``z``
+# were 1.0e-14 and 7.0e-15 away relative, as a small ``alpha`` froze an
+# ``a`` that still trailed ``u``.  A hold that waits for ``a`` to catch up
+# with ``u`` keeps the call within rounding of the frozen loop.
+LAGGING_CALL = ("qp-4-m2-mu0.5", 304, 0)
+
+
+def test_hold_waits_for_the_lookahead_to_catch_up(monkeypatch):
+    ident, sweep, block = LAGGING_CALL
+    real = iadmm.outer.run_inner
+    seen = []
+
+    def recording(*args, **kw):
+        res, tr = real(*args, **kw)
+        if kw["ctx"] == (sweep, block):
+            seen.append((args, kw, res))
+        return res, tr
+
+    monkeypatch.setattr(iadmm.outer, "run_inner", recording)
+    solve(from_id(ident).problem, SolverParams(mode="strong", rule="adaptive", rho=1.0,
+                                               alpha=0.5, tol=0.0, max_outer=sweep))
+    [(args, kw, res)] = seen
+    _assert_held_call(res, args, kw)
+    ref, _ = _reference_without_reuse(*args, **kw)
+    for name in ("x_next", "z"):
+        got, want = getattr(res, name), getattr(ref, name)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), name
+
+
+def _check_against_reference(entry, params, mp, held=False):
     """Solve with the loop and check it against the frozen cold loop.
 
-    A fixed-penalty solve is run again through the frozen loop and must
-    agree bit for bit; each call of a strong solve is checked as above.
+    A strong solve, or one whose pairs may be ``held``, is checked call by
+    call as above; any other is run again through the frozen loop and must
+    agree bit for bit.
     """
     calls = []
     real = iadmm.outer.run_inner
-    strong = params.get("mode") == "strong"
+    per_call = held or params.get("mode") == "strong"
     moved = []
 
     def counting(*args, **kw):
         res, tr = real(*args, **kw)
-        if strong:
+        if per_call:
             moved.append(_assert_held_call(res, args, kw))
         calls.append((kw["ctx"], kw["start"], res))
         return res, tr
@@ -216,25 +254,26 @@ def _check_against_reference(entry, params, mp):
         assert start == last.get(i, 0)
         last[i] = res.start
     assert any(start > 0 for _, start, _ in calls)
-    if not strong:
+    if not per_call:
         mp.setattr(iadmm.outer, "run_inner", _reference_without_reuse)
         assert _solve_bits(entry, **params) == new
     return new, [res.iters for _, _, res in calls], moved
 
 
 @pytest.mark.parametrize("entry,params", [
-    ("qp-1-m2", {}), ("lasso-1", {}), ("qp-2-m2", FIXED_POINT), ("img-0-s16", SAFEGUARD),
-    ("qp-2-m2-mu0.5", STRONG),
-], ids=["qp-1-m2", "lasso-1", "qp-2-m2-fixed-point", "img-0-s16-safeguard",
-        "qp-2-m2-mu0.5-strong"], indirect=["entry"])
+    ("qp-1-m2", {}), ("lasso-1", LASSO_HELD), ("lasso-1", LASSO_BELOW_GATE),
+    ("qp-2-m2", FIXED_POINT), ("img-0-s16", SAFEGUARD), ("qp-2-m2-mu0.5", STRONG),
+], ids=["qp-1-m2", "lasso-1", "lasso-1-below-gate", "qp-2-m2-fixed-point",
+        "img-0-s16-safeguard", "qp-2-m2-mu0.5-strong"], indirect=["entry"])
 def test_solve_matches_reference_loop(entry, params, monkeypatch):
-    new, iters, moved = _check_against_reference(entry, params, monkeypatch)
+    new, iters, moved = _check_against_reference(entry, params, monkeypatch,
+                                                 held=params is LASSO_HELD)
     if params is FIXED_POINT:
         assert 0 in iters
     if params is SAFEGUARD:
         assert "gamma-safeguard" in new[5]
-    if params is STRONG:
-        # the hold first engages at sweep 95
+    if params is STRONG or params is LASSO_HELD:
+        # the strong hold first engages at sweep 95
         assert any(moved)
 
 
