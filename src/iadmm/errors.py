@@ -41,10 +41,13 @@ class NumericError(IadmmError):
         self.best = best
 
 
-def check_count(name, value):
-    """Raise :class:`ConfigError` unless ``value`` is an integer, not a bool, of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError("%s must be an integer of at least 1" % name)
+def check_count(name, value, least=1):
+    """Raise :class:`ConfigError` unless ``value`` is an integer of at least ``least``.
+
+    A bool is not an integer here.  The message names the argument and its value.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError("%s must be an integer of at least %d, got %r" % (name, least, value))
 
 
 def check_real(name, value):

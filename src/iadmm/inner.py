@@ -119,14 +119,16 @@ loop's ``stalled`` cause and the ``prev`` hand-back, so a solve with
 ``tol = 0`` (a rate study) or below the gate keeps every bit of a loop
 that never holds.  Strong mode uses neither and holds without a gate.
 
-Once the pair is held the rest of the call is a scalar tail, one loop for
-every rule: the rule's ``(delta, alpha)`` (the adaptive rule takes its
-first trial's pair, of ratio ``delta0``, with no search), the
-``gamma``/``Lambda`` recurrences and the stop test, on the held pair's
-distance from ``x_i`` taken once.  The step is zero and no prox, smooth or
-operator call is made; a traced call records each held iteration's
-scalars beside the held pair.  Held iterations do not count against
-``MAX_ITERS``; ``gamma_l`` grows without bound, so the held tail always
+Held is a state of the same loop, not a second loop: each later
+iteration is an iteration like any other, on scalars.  It takes the
+rule's ``(delta, alpha)`` (the adaptive rule takes its first trial's
+pair, of ratio ``delta0``, with no search) and runs the same
+``gamma``/``Lambda`` recurrences and stop test, with a zero step and the
+held pair's distance from ``x_i``, taken once at the hold.  No prox,
+smooth or operator call is made; a traced call records each held
+iteration's scalars beside the held pair, which it does not copy again.
+Held iterations skip the hold test and do not count against
+``MAX_ITERS``; ``gamma_l`` grows without bound, so the loop always
 reaches its finite floor and forcing threshold.  ``iters`` still counts
 every iteration, and ``start`` is set in iteration 1, before any hold.
 
@@ -143,7 +145,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count
 from .problem import Block
 
 # relative slack for the descent test so exact ties are accepted in floats
@@ -284,11 +286,11 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         holds its pair once a step is rounding and ``a`` has caught up
         with ``u``; in a fixed-penalty mode only when ``tol`` exceeds
         ``HOLD_GAP`` times the rounding scale ``HOLD_ULPS eps ||x_i||``.
-        The rest of a held call runs on scalars (see the module
-        docstring).  The loop's other bounds are the module constants
-        ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``, ``MAX_BACKTRACKS`` and
-        ``MAX_ITERS``, which counts only iterations that do vector work,
-        so a held tail may run past it.
+        Its later iterations are iterations of the same loop, on scalars
+        (see the module docstring).  The loop's other bounds are the
+        module constants ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``,
+        ``MAX_BACKTRACKS`` and ``MAX_ITERS``, which counts only iterations
+        that do vector work, so held iterations may run past it.
     Gamma_prev : float
         Floor that ``gamma_l`` must reach before the loop may stop.  With
         a fixed penalty it is the accuracy weight ``Gamma_i^{k-1}`` reached
@@ -330,10 +332,11 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
     zero_f = (zeta == 0.0)
     if not zero_f and params.rule == "constant" and (zeta is None or zeta <= 0.0):
         raise ConfigError("constant rule needs a positive Lipschitz bound for nonzero smooth terms")
-    if force_iters is not None and force_iters < 1:
-        raise ConfigError("force_iters must be at least 1")
-    if not 0 <= start <= MAX_BACKTRACKS:
-        raise ConfigError("start must lie between 0 and %d" % MAX_BACKTRACKS)
+    if force_iters is not None:
+        check_count("force_iters", force_iters)
+    check_count("start", start, least=0)
+    if start > MAX_BACKTRACKS:
+        raise ConfigError("start must lie between 0 and %d, got %r" % (MAX_BACKTRACKS, start))
     if prev is not None:
         return InnerResult(prev.x_next, prev.z, prev.Gamma, prev.r, 0, prev.start), None
     stop = force_iters is None
@@ -410,7 +413,8 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         if zero_f:
             # pinned proximal weight; the mixing weight keeps the
             # delta * alpha * gamma product at one for any delta sequence
-            return DELTA_MIN, 1.0 if l == 1 else 1.0 / (1.0 + DELTA_MIN * Lambda)
+            # (at l = 1, Lambda = 0 makes alpha exactly 1)
+            return DELTA_MIN, 1.0 / (1.0 + DELTA_MIN * Lambda)
         # constant rule: with zeta the descent test needs no check, and
         # gamma_l = (1 - sigma) l (l + 1) / (4 zeta)
         return 2.0 * zeta / ((1.0 - sigma) * l), 2.0 / (l + 1.0)
@@ -418,38 +422,46 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
     try:
         while True:
             l += 1
-            memo = None
-            if adaptive:
+            if held:
+                # the rule's pair on scalars; the adaptive rule takes its
+                # first trial's pair, of ratio delta0
+                delta, alpha = _adaptive_pair(delta0, Lambda) if adaptive else fixed_pair()
+            elif adaptive:
+                delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
+                    Lambda, delta0, ETA, trial, MAX_BACKTRACKS, start=start if l == 1 else 0)
                 if l == 1:
-                    delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
-                        Lambda, delta0, ETA, trial, MAX_BACKTRACKS, start=start)
                     # at Lambda = 0 the accepted ratio is delta0 * ETA**j
                     start = round(math.log(delta / alpha / delta0, ETA))
-                else:
-                    delta, alpha, backtracks, (u, a, dsq) = params_adaptive(
-                        Lambda, delta0, ETA, trial, MAX_BACKTRACKS)
-                delta0 = min(max((delta / alpha) / ETA, DELTA_MIN), DELTA_MAX)
             else:
                 delta, alpha = fixed_pair()
                 u, a, dsq = trial(delta, alpha)[1]
+            if adaptive:
+                delta0 = min(max((delta / alpha) / ETA, DELTA_MIN), DELTA_MAX)
 
             gamma = 1.0 / delta if l == 1 else gamma / (1.0 - alpha)
             sum_sq += dsq
             Lambda += 1.0 / delta
 
             if tr is not None:
-                tr.record(delta, alpha, gamma, u.copy(), a.copy(), dsq, backtracks)
+                # a held iteration records the kept pair, not a copy of it
+                kept = (tr.us[-1], tr.a_s[-1]) if held else (u.copy(), a.copy())
+                tr.record(delta, alpha, gamma, *kept, dsq, backtracks)
 
             if stop and gamma >= Gamma_prev:
-                if math.sqrt(_sq(a - x_i)) <= psi_eps * math.sqrt(gamma):
+                if (dist if held else math.sqrt(_sq(a - x_i))) <= psi_eps * math.sqrt(gamma):
                     break
+            if held:
+                # held iterations do not count against MAX_ITERS; gamma grows
+                # without bound, so the stop test always passes in the end
+                continue
             # the pair is held once the step moves neither ``u`` nor ``a``
             # by more than rounding and ``a`` has caught up with ``u``, so
             # that ``a_bar`` would be ``u`` too: within rounding a fixed point
             if dsq <= tau2 and _sq(a - a_prev) <= tau2 and _sq(u - a) <= tau2:
-                held = True
-                break
-            u_prev, a_prev = u, a
+                # held iterations take a zero step
+                held, dist, dsq, backtracks = True, math.sqrt(_sq(a - x_i)), 0.0, 0
+                continue
+            u_prev, a_prev, memo = u, a, None
             if l == limit:
                 if stop:
                     raise NumericError(
@@ -461,26 +473,6 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         err.context.update(_ctx(ctx, l))
         raise
 
-    if held:
-        # the held tail: the rule's pair, the gamma/Lambda recurrences and
-        # the stop test on scalars alone, with a zero step; it does not
-        # count against MAX_ITERS, and gamma grows without bound
-        dist = math.sqrt(_sq(a - x_i))
-        if tr is not None:
-            u_kept, a_kept = tr.us[-1], tr.a_s[-1]
-        while True:
-            l += 1
-            if adaptive:
-                delta, alpha = _adaptive_pair(delta0, Lambda)
-                delta0 = min(max((delta / alpha) / ETA, DELTA_MIN), DELTA_MAX)
-            else:
-                delta, alpha = fixed_pair()
-            gamma = gamma / (1.0 - alpha)
-            Lambda += 1.0 / delta
-            if tr is not None:
-                tr.record(delta, alpha, gamma, u_kept, a_kept, 0.0, 0)
-            if gamma >= Gamma_prev and dist <= psi_eps * math.sqrt(gamma):
-                break
     return InnerResult(x_next=u, z=a, Gamma=gamma, r=sum_sq / gamma, iters=l, start=start), tr
 
 

@@ -19,7 +19,7 @@ from .diagnostics import (
     strong_rows,
     two_step_ratio,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .inner import run_inner
 from .oracle import subproblem_minimizer
 from .outer import SolverParams, solve
@@ -231,14 +231,14 @@ def run_suite(name, problem_id=None, seed=None):
     ``seed`` (default 0) seeds the ``inner`` and ``operators`` suites, the
     only ones that draw at random.  An unknown name, a problem id for the
     ``inner`` suite (which draws random subproblems), a seed for any other
-    suite, or a negative seed raises ``ConfigError``.
+    suite, or a seed that is not an integer of at least 0 raises
+    ``ConfigError``.
     """
     if seed is not None and name in SUITES and name not in ("inner", "operators"):
         raise ConfigError("suite %r draws nothing at random and takes no seed (got %r)"
                           % (name, seed))
     seed = 0 if seed is None else seed
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative, got %r" % (seed,))
+    check_count("seed", seed, least=0)
     if name == "inner":
         if problem_id is not None:
             raise ConfigError("suite 'inner' takes no problem id (got %r)" % (problem_id,))

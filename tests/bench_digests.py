@@ -25,9 +25,9 @@ handed back from ``prev`` runs nothing and is not checked), the calls whose
 ``x_next`` moved from the frozen loop's at all, the calls whose ``iters``,
 ``Gamma`` or ``start`` differ from it, the largest relative deviation of
 ``x_next`` and of ``z`` with the ``(sweep, block)`` of the call it came
-from, and the largest ``|r - r_ref|`` as a share of the held tail's bound
-``iters (2 HOLD_ULPS eps ||x_i||)^2 / Gamma``.  A solve whose inner loop
-keeps every bit reads ``0 0`` and zeros.
+from, and the largest ``|r - r_ref|`` as a share of the held iterations'
+bound ``iters (2 HOLD_ULPS eps ||x_i||)^2 / Gamma``.  A solve whose inner
+loop keeps every bit reads ``0 0`` and zeros.
 
 Pytest does not collect this file: it is a script, not a test module.
 """

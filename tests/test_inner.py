@@ -57,7 +57,7 @@ def _scalar_trace(L, rule, sigma, iters):
     return tr
 
 
-def test_params_constant_examples():
+def test_constant_rule_pair_examples():
     # l=1, zeta=2, sigma=1/2: delta = 2*zeta/((1-sigma)*1) = 8, alpha = 2/(1+1) = 1
     tr = _scalar_trace(2.0, "constant", 0.5, 1)
     assert tr.deltas[0] == pytest.approx(8.0)
@@ -84,7 +84,7 @@ def test_constant_rule_gamma_closed_form():
         assert tr.gammas[l - 1] == pytest.approx(closed, rel=1e-12)
 
 
-def test_line_search_accept_quadratic():
+def test_adaptive_descent_test_on_a_scalar_quadratic():
     # f = 0.5 L x^2 at sigma = 1/2: the descent test holds iff
     # delta/alpha >= L/(1-sigma).  With L = 4 iteration 1 tries delta/alpha
     # = 1, 2, 4, 8 and accepts the tie at 8; every later iteration starts at
@@ -342,7 +342,7 @@ def test_run_inner_warm_start_keeps_every_bit():
     assert again.start == j
 
 
-@pytest.mark.parametrize("start", [-1, iadmm.inner.MAX_BACKTRACKS + 1])
+@pytest.mark.parametrize("start", [-1, iadmm.inner.MAX_BACKTRACKS + 1, 1.5, True, "1", None])
 def test_run_inner_start_must_be_an_exponent(start):
     blk = _block(7)
     with pytest.raises(ConfigError, match="start"):
@@ -611,11 +611,13 @@ def test_unheld_strong_loop_raises_at_the_cap(monkeypatch):
 
 
 def test_run_inner_force_iters_must_be_positive():
+    # a fractional count once never returned, and a string or bool was no count
     blk = _block(33)
     x_i, y_i, lam, b_i = _inner_inputs(33, blk)
-    with pytest.raises(ConfigError, match="force_iters"):
-        run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, SolverParams(),
-                  Gamma_prev=0.0, psi_eps=np.inf, force_iters=0)
+    for bad in (0, -2, 2.5, "3", True):
+        with pytest.raises(ConfigError, match="force_iters"):
+            run_inner(blk, x_i, y_i, lam, b_i, 1.0, 2.0, SolverParams(),
+                      Gamma_prev=0.0, psi_eps=np.inf, force_iters=bad)
 
 
 @pytest.mark.parametrize("rule", ["constant", "adaptive"])

@@ -171,12 +171,12 @@ LASSO_BELOW_GATE = dict(tol=0.0, max_outer=340)
 # loop goes on stepping, so such a solve drifts from the frozen one at
 # rounding.  Each of its calls is therefore rerun through the frozen loop
 # on its own inputs: ``iters``, ``Gamma`` and ``start`` must
-# agree bit for bit, and the held tail may only drop the frozen loop's
+# agree bit for bit, and held iterations may only drop the frozen loop's
 # later steps, each at rounding of ``||x_i||`` (``HOLD_ULPS eps ||x_i||``):
 # - ``x_next`` and ``z`` agree within HELD_REL of the frozen result.  Over
 #   all 5,850 strong calls of criterion 5's five fixtures the dropped steps
 #   moved them by at most 1.0e-14 relative, a tenth of the bound.
-# - ``r`` is the steps' summed squares over ``Gamma``, and the tail drops
+# - ``r`` is the steps' summed squares over ``Gamma``, and the hold drops
 #   fewer than ``iters`` of them: it agrees within ``iters (2 HOLD_ULPS eps
 #   ||x_i||)^2 / Gamma``.  The same calls used at most 0.18 of that.
 HELD_REL = 1e-13

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iadmm.errors import ConfigError
 from iadmm.suites import run_suite, tail_row
 
 INNER_NAMES = ({"inner-estimate-%s-%d" % (rule, s)
@@ -31,3 +32,11 @@ def test_tail_row_fails_a_flat_energy():
     assert (series, lo, hi, value, threshold) == ("two-step-tail-max", 28, 80, 1.0, 1.0)
     assert not ok
     assert tail_row(np.ones(2)) is None
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", True])
+def test_run_suite_refuses_a_seed_that_is_no_count(seed):
+    # numpy's generator refused a fractional seed with a bare TypeError, a
+    # string failed the sign test with another, and True ran as seed 1
+    with pytest.raises(ConfigError, match="seed"):
+        run_suite("inner", seed=seed)
