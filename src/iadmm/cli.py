@@ -47,11 +47,13 @@ def _params_from_args(args, **overrides):
     return SolverParams(**kw)
 
 
-def _manifest(args, params, report):
+def _manifest(args, params, report, ref):
     return {
         "command": args.command,
         "problem": args.problem,
         "out": args.out,
+        # what the history's reference columns (E, gaps) were measured against
+        "reference": None if ref is None else {"source": ref.source, "kkt": ref.kkt},
         "params": {f.name: getattr(params, f.name) for f in dataclasses.fields(params)
                    if f.name not in ("x0", "lam0")},
         "result": {
@@ -69,7 +71,7 @@ def cmd_solve(args):
     report = solve(entry.problem, params, ref=entry.reference)
     report.history.save_csv(args.out)
     with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(_manifest(args, params, report), fh, indent=2, sort_keys=True)
+        json.dump(_manifest(args, params, report, entry.reference), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("%s: %s after %d sweeps (eps=%.3e, %.2fs) -> %s"
           % (args.problem, report.cause, report.iterations, report.eps,

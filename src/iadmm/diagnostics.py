@@ -50,6 +50,7 @@ class ReferencePair:
 
     Construction fails with :class:`CertificationError`, naming the
     candidate's ``source``, unless the KKT error is at most ``1e-9``.
+    The pair keeps ``source`` and its measured error ``kkt``.
     """
 
     def __init__(self, problem, x_star, lam_star, source="unknown"):
@@ -64,6 +65,7 @@ class ReferencePair:
             )
         self.x_star = x_star.copy()
         self.lam_star = lam_star.copy()
+        self.source = source
         self.kkt = err
         self.objective = problem.objective(self.x_star)
 

@@ -12,6 +12,13 @@ face the steps have settled on.  Every answer of the loop carries a
 bound on its unit-step prox residual.  These paths share no iteration
 logic with the solver modules, so agreement between the two is
 meaningful evidence.
+
+:func:`face_solve` turns a coarse solution of a quadratic-plus-prox
+problem into a reference: it guesses the active face from the coarse
+point's nonzeros and solves the KKT system on that face once (the
+solution polishing of OSQP, Stellato et al., *Math. Prog. Comp.* 2020,
+section 5.2).  The coarse point only names the face and the prox's
+offset on it; the answer is certified on its own.
 """
 
 from __future__ import annotations
@@ -26,37 +33,89 @@ from .errors import ConfigError, NumericError
 from .problem import Block, ProblemSpec
 
 
+def _stacked(problem: ProblemSpec):
+    """Block-diagonal Hessian ``H``, linear term ``c`` and dense constraint matrix ``A``.
+
+    Every block's smooth term must be zero or a quadratic with explicit
+    Hessian and linear term; anything else raises :class:`ConfigError`.
+    """
+    n = problem.n
+    H = np.zeros((n, n))
+    c = np.zeros(n)
+    A = np.zeros((problem.rhs_dim, n))
+    k = 0
+    for blk, d in zip(problem.blocks, problem.dims):
+        smooth = blk.smooth
+        if not smooth.is_zero:
+            if smooth.hessian is None or smooth.linear is None:
+                raise ConfigError("dense KKT solves need zero or explicit quadratic smooth terms")
+            H[k:k + d, k:k + d] = smooth.hessian
+            c[k:k + d] = smooth.linear
+        A[:, k:k + d] = blk.op.to_dense()
+        k += d
+    return H, c, A
+
+
 def solve_qp_kkt(problem: ProblemSpec):
     """Solve an equality-constrained QP by one dense pivoted KKT solve.
 
-    Every block must have a quadratic smooth term (explicit Hessian) and
-    a zero nonsmooth term.  Returns a certified :class:`ReferencePair`;
-    a singular KKT matrix raises ``numpy.linalg.LinAlgError``.
+    Every block must have a zero or quadratic smooth term (explicit
+    Hessian) and a zero nonsmooth term.  Returns a certified
+    :class:`ReferencePair`; a singular KKT matrix raises
+    ``numpy.linalg.LinAlgError``.
     """
-    dims = problem.dims
+    if not all(blk.nonsmooth.is_zero for blk in problem.blocks):
+        raise ConfigError("KKT solve only handles smooth problems")
+    H, c, A = _stacked(problem)
     n, N = problem.n, problem.rhs_dim
-    H = np.zeros((n, n))
-    c = np.zeros(n)
-    A = np.zeros((N, n))
-    k = 0
-    for blk, d in zip(problem.blocks, dims):
-        if blk.smooth.hessian is None or blk.smooth.linear is None:
-            raise ConfigError("KKT solve needs explicit quadratic smooth terms")
-        if not blk.nonsmooth.is_zero:
-            raise ConfigError("KKT solve only handles smooth problems")
-        H[k:k + d, k:k + d] = blk.smooth.hessian
-        c[k:k + d] = blk.smooth.linear
-        A[:, k:k + d] = blk.op.to_dense()
-        k += d
     kkt = np.zeros((n + N, n + N))
     kkt[:n, :n] = H
     kkt[:n, n:] = A.T
     kkt[n:, :n] = A
     rhs = np.concatenate([-c, problem.b])
     sol = np.linalg.solve(kkt, rhs)
-    x = BlockVector.from_flat(sol[:n], dims)
+    x = BlockVector.from_flat(sol[:n], problem.dims)
     lam = sol[n:].copy()
     return ReferencePair(problem, x, lam, source="kkt-solve")
+
+
+def face_solve(z, lam, problem):
+    """Reference pair from one KKT solve on the face of a coarse pair ``(z, lam)``.
+
+    Every block's smooth term must be zero or a quadratic with explicit
+    Hessian ``H_i`` and linear term ``c_i``.  The face ``S`` is the set of
+    coordinates with ``|z_j| > 1e-8 max |z|``.  The subgradient offset
+    is read from the prox's own translation, as :func:`_polish` does: with
+    ``v_i = z_i - grad f_i(z_i) - A_i^T lam`` it is ``s_i = v_i -
+    prox_i(v_i, 1)``, which the prox holds fixed on its face.  One dense
+    least-squares solve of
+
+        [[H_SS, A_S^T], [A_S, 0]] [x_S; lam] = [-c_S - s_S; b]
+
+    gives ``x`` (zero off ``S``) and ``lam``.  Returns a
+    :class:`ReferencePair` with source ``"face-solve"``; a wrong face fails
+    its certificate with :class:`CertificationError`.
+    """
+    H, c, A = _stacked(problem)
+    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
+    s = []
+    for blk, zi in zip(problem.blocks, z.blocks):
+        v = zi - (blk.smooth.grad(zi) + blk.op.adjoint(lam))
+        s.append(v - blk.nonsmooth.prox(v, 1.0))
+    s = np.concatenate(s)
+    flat = np.abs(z.to_flat())
+    S = np.flatnonzero(flat > 1e-8 * flat.max())
+    f = S.size
+    kkt = np.zeros((f + problem.rhs_dim,) * 2)
+    kkt[:f, :f] = H[np.ix_(S, S)]
+    kkt[:f, f:] = A[:, S].T
+    kkt[f:, :f] = A[:, S]
+    rhs = np.concatenate([-c[S] - s[S], problem.b])
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    x = np.zeros(problem.n)
+    x[S] = sol[:f]
+    return ReferencePair(problem, BlockVector.from_flat(x, problem.dims), sol[f:],
+                         source="face-solve")
 
 
 def lipschitz_bound(smooth):

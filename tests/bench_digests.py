@@ -12,8 +12,11 @@ named by ``--root`` (default: the one holding this script), and the
 package is imported from that checkout's ``src/``.  Each solve prints one
 line per item: the final ``z``, ``x``, ``y`` and ``lam``, every ``History``
 column, ``Gammas``, the events, the cause and the sweep count.  Each
-problem built also prints its reference pair, which for the lasso ids is
-an exact-mode run.  ``--acceptance`` adds the solves of
+problem built also prints its reference pair with the pair's source and
+KKT error: a dense KKT solve for the QP ids, and for the lasso ids a face
+solve from a coarse exact-mode run, or a full exact-mode run where the
+face solve fails its certificate, which the source line shows.
+``--acceptance`` adds the solves of
 ``tests/test_acceptance.py`` (criteria 3-9).  The last line digests all the
 lines above it, so two checkouts agree bit for bit when their outputs are
 equal; ``diff`` names the items that differ.
@@ -90,8 +93,10 @@ def reference_lines(ident, entry):
     ref = entry.reference
     if ref is None:
         return []
-    return ["%s reference.%s %s" % (ident, name, _sha(data)) for name, data in (
+    lines = ["%s reference.%s %s" % (ident, name, _sha(data)) for name, data in (
         ("x_star", ref.x_star.to_flat().tobytes()), ("lam_star", ref.lam_star.tobytes()))]
+    lines.append("%s reference.source %s kkt %.3e" % (ident, ref.source, ref.kkt))
+    return lines
 
 
 def _rel(got, want):

@@ -11,6 +11,7 @@ import iadmm.cli
 from iadmm.cli import build_parser, main
 from iadmm.errors import NumericError
 from iadmm.outer import HISTORY_COLUMNS, SolverParams
+from iadmm.problems import from_id
 
 
 # Each subcommand's option strings; a flag is added or removed only
@@ -51,7 +52,7 @@ def test_solve_writes_history_and_manifest(tmp_path):
     # eps strictly positive until the final row meets the tolerance
     assert float(rows[-1][1]) <= 1e-8
     manifest = json.loads((tmp_path / "hist.csv.manifest.json").read_text())
-    assert set(manifest) == {"command", "problem", "out", "params", "result"}
+    assert set(manifest) == {"command", "problem", "out", "params", "reference", "result"}
     assert manifest["command"] == "solve"
     assert manifest["problem"] == "qp-1-m2"
     assert manifest["params"]["rule"] == "adaptive"
@@ -59,6 +60,17 @@ def test_solve_writes_history_and_manifest(tmp_path):
     assert set(manifest["params"]) == {
         f.name for f in dataclasses.fields(SolverParams)} - {"x0", "lam0"}
     assert manifest["result"]["cause"] == "tolerance"
+    # the pair the history's E and gap columns were measured against
+    ref = from_id("qp-1-m2").reference
+    assert manifest["reference"] == {"source": "kkt-solve", "kkt": ref.kkt}
+
+
+def test_solve_manifest_records_a_missing_reference(tmp_path):
+    out = tmp_path / "img.csv"
+    assert main(["solve", "--problem", "img-0-s16", "--max-outer", "1",
+                 "--out", str(out)]) == 2
+    manifest = json.loads((tmp_path / "img.csv.manifest.json").read_text())
+    assert manifest["reference"] is None
 
 
 def test_solve_manifest_rebuilds_its_params(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from iadmm.blockspace import BlockVector, DenseMap
 from iadmm.diagnostics import ReferencePair
 from iadmm.errors import CertificationError, ConfigError, NumericError
 from iadmm.inner import run_inner
-from iadmm.oracle import solve_qp_kkt, subproblem_minimizer
+from iadmm.oracle import face_solve, solve_qp_kkt, subproblem_minimizer
 from iadmm.outer import SolverParams
 from iadmm.problem import Block, ProblemSpec
 from iadmm.problems import gen_lasso, gen_qp
@@ -243,11 +243,13 @@ def test_exact_solve_rejects_a_block_without_curvature_bound_before_sweep_1(monk
     assert oracle_calls == []
 
 
-# block-0 prox calls of gen_lasso(1)'s exact-mode reference run (527
-# sweeps): about three per subproblem, two steps and the certificate of
-# the face polish.  Two prox calls per step without the polish took
-# 15,552 (528 sweeps), and 24,730 with the 1 / L step.
-LASSO_1_BLOCK_0_PROX_CALLS = 1_582
+# block-0 prox calls of gen_lasso(1)'s coarse exact-mode run (166 sweeps
+# to LASSO_FACE_TOL = 1e-4, before its one face solve): about three per
+# subproblem, two steps and the certificate of the face polish.  The full
+# run to 1e-12 that built the reference before took 1,582 (527 sweeps);
+# two prox calls per step without the polish took 15,552 (528 sweeps), and
+# 24,730 with the 1 / L step.
+LASSO_1_BLOCK_0_PROX_CALLS = 502
 
 
 def test_lasso_reference_run_oracle_work_is_pinned(monkeypatch):
@@ -270,7 +272,25 @@ def test_lasso_reference_run_oracle_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(iadmm.outer, "solve", counting_solve)
     gen_lasso(1)
-    assert counts == [("exact", 527, LASSO_1_BLOCK_0_PROX_CALLS)]
+    assert counts == [("exact", 166, LASSO_1_BLOCK_0_PROX_CALLS)]
+
+
+def test_face_solve_certifies_the_face_it_is_given():
+    entry = gen_lasso(1)
+    problem, ref = entry.problem, entry.reference
+    # the reference's own face gives it back to rounding
+    again = face_solve(ref.x_star, ref.lam_star, problem)
+    assert again.source == "face-solve" and again.kkt <= 1e-13
+    assert np.max(np.abs(again.x_star.to_flat() - ref.x_star.to_flat())) <= 1e-12
+    # dropping the largest coordinate from the face leaves no saddle point on it
+    flat = ref.x_star.to_flat()
+    flat[np.argmax(np.abs(flat))] = 0.0
+    with pytest.raises(CertificationError, match="face-solve"):
+        face_solve(BlockVector.from_flat(flat, problem.dims), ref.lam_star, problem)
+    # a smooth term without its Hessian gives no system to solve
+    blind = ProblemSpec([_blind(problem.blocks[0])] + problem.blocks[1:], problem.b)
+    with pytest.raises(ConfigError, match="explicit quadratic"):
+        face_solve(ref.x_star, ref.lam_star, blind)
 
 
 def test_subproblem_minimizer_stationarity_with_l1():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import iadmm.outer
+import iadmm.problems
 from iadmm.blockspace import Grad2D, HaarMap
 from iadmm.errors import ConfigError
 from iadmm.outer import SolverParams, solve
@@ -102,6 +103,60 @@ def test_lasso_refuses_an_unconverged_reference(cause, monkeypatch):
     monkeypatch.setattr(iadmm.outer, "solve", short_solve)
     with pytest.raises(ConfigError, match="lasso-1 stopped as %s$" % cause):
         gen_lasso(1)
+
+
+def _exact_run(entry):
+    # the run that built every lasso reference before the face solve
+    params = SolverParams(mode="exact", rho=1.0, alpha=0.9, tol=1e-12,
+                          max_outer=200_000, exact_tol=1e-13)
+    return solve(entry.problem, params)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_lasso_reference_is_a_face_solve_near_the_exact_run(seed):
+    entry = gen_lasso(seed)
+    ref = entry.reference
+    assert ref.source == "face-solve"
+    assert ref.kkt <= 1e-13
+    report = _exact_run(entry)
+    assert report.cause == "tolerance"
+    assert np.max(np.abs(ref.x_star.to_flat() - report.z.to_flat())) <= 1e-10
+    assert np.max(np.abs(ref.lam_star - report.lam)) <= 1e-10
+
+
+def test_lasso_reference_falls_back_to_the_exact_run(monkeypatch):
+    # at 1e-3 the coarse run guesses lasso-2's face wrong (KKT about 1.7e-3),
+    # so the reference is the cold exact-mode run, bit for bit
+    monkeypatch.setattr(iadmm.problems, "LASSO_FACE_TOL", 1e-3)
+    entry = gen_lasso(2)
+    ref = entry.reference
+    assert ref.source == "exact-mode-run"
+    assert ref.kkt <= 1e-9
+    report = _exact_run(entry)
+    assert ref.x_star.to_flat().tobytes() == report.z.to_flat().tobytes()
+    assert ref.lam_star.tobytes() == np.asarray(report.lam, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", True])
+@pytest.mark.parametrize("gen", [gen_qp, gen_lasso, lambda seed: gen_imaging(seed, side=16)],
+                         ids=["qp", "lasso", "imaging"])
+def test_generators_refuse_a_seed_that_is_no_count(gen, seed):
+    # -1 used to raise numpy's bare ValueError; the rest built seed 1's data
+    with pytest.raises(ConfigError, match="seed"):
+        gen(seed)
+
+
+@pytest.mark.parametrize("m", [0, 1.5, "2", True])
+def test_gen_qp_refuses_a_block_count_that_is_no_count(m):
+    # 1.5 used to build one block, "2" two
+    with pytest.raises(ConfigError, match="m must be"):
+        gen_qp(1, m=m)
+
+
+@pytest.mark.parametrize("side", [16.0, "16", True])
+def test_gen_imaging_refuses_a_side_that_is_no_count(side):
+    with pytest.raises(ConfigError, match="side"):
+        gen_imaging(0, side=side)
 
 
 def test_imaging_structure():
