@@ -111,13 +111,16 @@ next ``a_bar`` would be ``u`` too: the held pair is then within rounding
 of a fixed point of the inner map.  Without the third, a small ``alpha``
 could freeze an ``a`` that still trails ``u``.
 
-In the fixed-penalty modes a call may hold only when the solve's ``tol``
-exceeds ``HOLD_GAP sqrt(tau2)``, a gate taken on the block's own
+In the fixed-penalty modes a call with ``0 < tol`` may hold only when
+``tol`` exceeds ``HOLD_GAP sqrt(tau2)``, a gate taken on the block's own
 ``||x_i||``.  Such a solve stops by its tolerance long before it reaches
 its rounding floor.  At that floor bitwise repeats decide the outer
-loop's ``stalled`` cause and the ``prev`` hand-back, so a solve with
-``tol = 0`` (a rate study) or below the gate keeps every bit of a loop
-that never holds.  Strong mode uses neither and holds without a gate.
+loop's ``stalled`` cause, so a solve below the gate keeps every bit of a
+loop that never holds.  A fixed-horizon solve (``tol = 0``, a rate
+study) never ends as ``stalled``: its bitwise repeats feed only the
+``prev`` hand-back, a speed-up and no stop rule, so it holds without a
+gate.  Strong mode, whose penalty moves every sweep, has neither the
+``stalled`` cause nor the hand-back and holds without a gate too.
 
 Held is a state of the same loop, not a second loop: each later
 iteration is an iteration like any other, on scalars.  It takes the
@@ -161,7 +164,7 @@ MAX_ITERS = 10_000
 # a loop holds its pair once an accepted step moves neither ``u`` nor ``a``
 # by more than this many units of rounding of ``||x_i||``, and ``a`` lies
 # that close to ``u``; in a fixed-penalty mode only when the solve's ``tol``
-# exceeds that rounding scale ``HOLD_GAP`` times
+# is 0 or exceeds that rounding scale ``HOLD_GAP`` times
 HOLD_ULPS = 4
 HOLD_GAP = 1e3
 _EPS = math.ulp(1.0)
@@ -284,8 +287,9 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
         slack ``sigma``, the ``mode`` and the tolerance ``tol`` are read.
         A loop without ``force_iters`` and with a positive ``psi_eps``
         holds its pair once a step is rounding and ``a`` has caught up
-        with ``u``; in a fixed-penalty mode only when ``tol`` exceeds
-        ``HOLD_GAP`` times the rounding scale ``HOLD_ULPS eps ||x_i||``.
+        with ``u``; in a fixed-penalty mode only when ``tol`` is ``0`` or
+        exceeds ``HOLD_GAP`` times the rounding scale
+        ``HOLD_ULPS eps ||x_i||``.
         Its later iterations are iterations of the same loop, on scalars
         (see the module docstring).  The loop's other bounds are the
         module constants ``DELTA_MIN``, ``DELTA_MAX``, ``ETA``,
@@ -354,7 +358,8 @@ def run_inner(block: Block, x_i, y_i, lam, b_i, rho, gamma_i, params,
     tau2 = -1.0
     if stop and psi_eps > 0.0:
         scale_sq = (HOLD_ULPS * _EPS) ** 2 * float(x_i.dot(x_i))
-        if params.mode == "strong" or params.tol > HOLD_GAP * math.sqrt(scale_sq):
+        if (params.mode == "strong" or params.tol == 0.0
+                or params.tol > HOLD_GAP * math.sqrt(scale_sq)):
             tau2 = scale_sq
     u_prev = a_prev = x_i
     gamma = Lambda = sum_sq = 0.0

@@ -75,9 +75,9 @@ class SolverParams:
     subproblem solves to ``exact_tol``).  ``rule`` (``adaptive`` or
     ``constant``) and the descent slack ``sigma`` set the inner loop: each
     sweep hands these parameters to :func:`~iadmm.inner.run_inner`, which
-    reads those two fields, ``mode`` and ``tol`` (whether, and in a
-    fixed-penalty mode above which tolerance, a call may hold its pair
-    once its step is rounding), and takes the sweep's penalty ``rho_k``
+    reads those two fields, ``mode`` and ``tol`` (whether a call may hold
+    its pair once its step is rounding: in a fixed-penalty mode at
+    ``tol = 0`` or above a gate), and takes the sweep's penalty ``rho_k``
     (equal to ``rho`` only in the fixed-penalty modes) as a separate
     argument.  The inner loop's other bounds are constants of
     :mod:`iadmm.inner`.

@@ -29,7 +29,7 @@ import numpy as np
 from .blockspace import (BlockTriangular, DenseMap, Grad2D, HaarMap, LinearMap,
                          ScaledIdentity, VStack, ZeroMap)
 from .diagnostics import ReferencePair
-from .errors import CertificationError, ConfigError, check_count
+from .errors import CertificationError, ConfigError, check_count, check_real
 from .oracle import face_solve, solve_qp_kkt
 from .problem import Block, ProblemSpec
 from .proxlib import (group_l2_prox, l1_prox, quadratic, quadratic_smooth,
@@ -113,6 +113,7 @@ def gen_qp(seed, m=2, mu=0.0):
     check_count("m", m)
     dims = (6,) * m
     n_rhs = 2 * m + 2
+    check_real("mu", mu)
     mu = float(mu)
     if not 0.0 <= mu < np.inf:
         raise ConfigError("mu must be finite and nonnegative, got %r" % mu)
@@ -239,9 +240,10 @@ def _piecewise_constant_image(rng, side, n_rects=6):
 
 
 def gaussian_kernel(sigma=0.8, radius=2):
-    """Truncated, normalized 1-d Gaussian kernel."""
-    if not sigma > 0 or radius < 1:
-        raise ConfigError("blur kernel needs sigma > 0 and radius >= 1")
+    """Truncated, normalized 1-d Gaussian kernel of ``2 radius + 1`` taps."""
+    check_count("radius", radius)
+    if not sigma > 0:
+        raise ConfigError("blur kernel needs sigma > 0, got %r" % sigma)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-t * t / (2.0 * sigma * sigma))
     return g / g.sum()

@@ -98,10 +98,11 @@ def test_tracer_notes_the_constant_rule():
 
 
 def test_tracer_counts_every_block_solve_past_a_fixed_point():
-    # qp-2-m2 at alpha 0.5 repeats its whole state bit for bit from sweep
-    # 770 on; a fixed-horizon solve still calls the inner loop once per
-    # block and sweep (the bench checks inner.calls against sweeps x m),
-    # each handed-back result counts no iteration, and tracing moves no bit
+    # qp-2-m2 at alpha 0.5 and tol = 0, whose inner pairs hold once their
+    # steps are rounding, repeats its whole state bit for bit from sweep
+    # 797 on; the solve still calls the inner loop once per block and sweep
+    # (the bench checks inner.calls against sweeps x m), each handed-back
+    # result counts no iteration, and tracing moves no bit
     entry = from_id("qp-2-m2")
     params = SolverParams(alpha=0.5, tol=0.0, max_outer=800)
     plain = solve(entry.problem, params)
@@ -116,7 +117,7 @@ def test_tracer_counts_every_block_solve_past_a_fixed_point():
     labels = [tracer.labels[i] for i in tracer.name]
     assert sum(lab.startswith("inner.run_inner.") for lab in labels) == 800 * entry.problem.m
     per_sweep = [tracer.sweep_iters[(0, k)] for k in range(1, 801)]
-    assert min(per_sweep[:769]) > 0 and max(per_sweep[769:]) == 0
+    assert min(per_sweep[:796]) > 0 and max(per_sweep[796:]) == 0
     _assert_same_history(traced.history, plain.history)
 
 

@@ -555,19 +555,17 @@ def test_strong_loop_holds_its_pair_once_the_step_is_rounding(weight):
     blk, args = _minimizer_start(3, weight)
     kw = dict(Gamma_prev=1e4, psi_eps=1e-3)
     _assert_holds_after_one(blk, args, SolverParams(mode="strong", sigma=0.9), kw)
-    # the fixed-penalty loop keeps every bit of the frozen one at tol = 0,
-    # and holds as the strong one does at the default tol, above the gate
-    convex = SolverParams(mode="convex", sigma=0.9, tol=0.0)
-    _assert_same(run_inner(blk, *args, convex, **kw, trace=True),
-                 run_inner_reference(blk, *args, convex, **kw, trace=True))
+    # the fixed-penalty loop holds as the strong one does at tol = 0 (a
+    # fixed-horizon run) and at the default tol, above the gate
+    _assert_holds_after_one(blk, args, SolverParams(mode="convex", sigma=0.9, tol=0.0), kw)
     _assert_holds_after_one(blk, args, SolverParams(mode="convex", sigma=0.9), kw)
 
 
 @pytest.mark.parametrize("case", ["adaptive", "constant", "pinned"])
 def test_fixed_penalty_hold_is_gated_by_tol(case):
-    # a fixed-penalty call may hold only when tol exceeds HOLD_GAP times the
-    # rounding scale HOLD_ULPS eps ||x_i||; at that gate and below it the
-    # loop keeps every bit of the frozen one
+    # a fixed-penalty call may hold only when tol is 0 or exceeds HOLD_GAP
+    # times the rounding scale HOLD_ULPS eps ||x_i||; at that gate and below
+    # it, with a positive tol, the loop keeps every bit of the frozen one
     blk, args = _minimizer_start(3, 0.1, pinned=case == "pinned")
     rule = "constant" if case == "constant" else "adaptive"
     x_i = args[0]
@@ -582,6 +580,8 @@ def test_fixed_penalty_hold_is_gated_by_tol(case):
                      run_inner_reference(blk, *args, params, **kw, trace=True))
     above = SolverParams(rule=rule, sigma=0.9, tol=float(np.nextafter(gate, np.inf)))
     frozen_steps = _assert_holds_after_one(blk, args, above, kw)
+    # a fixed-horizon call (tol = 0) never ends as stalled, so it holds too
+    _assert_holds_after_one(blk, args, SolverParams(rule=rule, sigma=0.9, tol=0.0), kw)
     # the frozen loop goes on stepping at rounding, so a hold below the gate
     # would show; the pinned one reaches its fixed point exactly
     assert any(s > 0.0 for s in frozen_steps[1:]) == (case != "pinned")

@@ -150,8 +150,9 @@ def _reference_without_reuse(*args, prev=None, ay_i=None, start=0, **kw):
     return run_inner_reference(*args, **kw)
 
 
-# qp-2-m2 at alpha 0.5 reaches a bitwise fixed point at sweep 770, so
-# from there on every sweep hands back its blocks' previous inner results
+# qp-2-m2 at alpha 0.5 and tol = 0, whose inner pairs hold once their
+# steps are rounding, reaches a bitwise fixed point at sweep 797, so from
+# there on every sweep hands back its blocks' previous inner results
 FIXED_POINT = dict(alpha=0.5, tol=0.0, max_outer=900)
 # three structured blocks, two with zero smooth terms; the safeguard grows
 # block 0's weight once (sweep 320 of 817)
@@ -159,17 +160,19 @@ SAFEGUARD = dict(alpha=0.9, gamma_mode="safeguard", tol=1e-3)
 # the growing penalty of the bench's strong job, on a shorter horizon,
 # checked call by call
 STRONG = dict(mode="strong", alpha=0.5, tol=0.0, max_outer=200)
-# lasso-1 at the default tol, far above the hold's gate, checked call by
-# call; and the same problem with tol = 0 over the 340 sweeps that solve
-# takes, below the gate, bit for bit
+# lasso-1 at the default tol, far above the hold's gate, and the same
+# problem with tol = 0 over the 340 sweeps that solve takes, both checked
+# call by call; and with a positive tol below the gate over those sweeps,
+# where no pair holds, bit for bit
 LASSO_HELD = dict(tol=1e-8)
-LASSO_BELOW_GATE = dict(tol=0.0, max_outer=340)
+LASSO_FIXED_HORIZON = dict(tol=0.0, max_outer=340)
+LASSO_BELOW_GATE = dict(tol=1e-300, max_outer=340)
 
 
-# Strong mode, and a fixed-penalty solve whose tol lies above the gate,
-# hold each inner pair once an accepted step is rounding, and the frozen
-# loop goes on stepping, so such a solve drifts from the frozen one at
-# rounding.  Each of its calls is therefore rerun through the frozen loop
+# Strong mode, and a fixed-penalty solve whose tol is 0 or lies above the
+# gate, hold each inner pair once an accepted step is rounding, and the
+# frozen loop goes on stepping, so such a solve drifts from the frozen one
+# at rounding.  Each of its calls is therefore rerun through the frozen loop
 # on its own inputs: ``iters``, ``Gamma`` and ``start`` must
 # agree bit for bit, and held iterations may only drop the frozen loop's
 # later steps, each at rounding of ``||x_i||`` (``HOLD_ULPS eps ||x_i||``):
@@ -230,8 +233,9 @@ def _check_against_reference(entry, params, mp, held=False):
     """Solve with the loop and check it against the frozen cold loop.
 
     A strong solve, or one whose pairs may be ``held``, is checked call by
-    call as above; any other is run again through the frozen loop and must
-    agree bit for bit.
+    call as above, except the calls handed back from ``prev``, which run
+    nothing; any other is run again through the frozen loop and must agree
+    bit for bit.
     """
     calls = []
     real = iadmm.outer.run_inner
@@ -240,7 +244,7 @@ def _check_against_reference(entry, params, mp, held=False):
 
     def counting(*args, **kw):
         res, tr = real(*args, **kw)
-        if per_call:
+        if per_call and kw.get("prev") is None:
             moved.append(_assert_held_call(res, args, kw))
         calls.append((kw["ctx"], kw["start"], res))
         return res, tr
@@ -261,19 +265,23 @@ def _check_against_reference(entry, params, mp, held=False):
 
 
 @pytest.mark.parametrize("entry,params", [
-    ("qp-1-m2", {}), ("lasso-1", LASSO_HELD), ("lasso-1", LASSO_BELOW_GATE),
-    ("qp-2-m2", FIXED_POINT), ("img-0-s16", SAFEGUARD), ("qp-2-m2-mu0.5", STRONG),
-], ids=["qp-1-m2", "lasso-1", "lasso-1-below-gate", "qp-2-m2-fixed-point",
-        "img-0-s16-safeguard", "qp-2-m2-mu0.5-strong"], indirect=["entry"])
+    ("qp-1-m2", {}), ("lasso-1", LASSO_HELD), ("lasso-1", LASSO_FIXED_HORIZON),
+    ("lasso-1", LASSO_BELOW_GATE), ("qp-2-m2", FIXED_POINT), ("img-0-s16", SAFEGUARD),
+    ("qp-2-m2-mu0.5", STRONG),
+], ids=["qp-1-m2", "lasso-1", "lasso-1-fixed-horizon", "lasso-1-below-gate",
+        "qp-2-m2-fixed-point", "img-0-s16-safeguard", "qp-2-m2-mu0.5-strong"],
+    indirect=["entry"])
 def test_solve_matches_reference_loop(entry, params, monkeypatch):
-    new, iters, moved = _check_against_reference(entry, params, monkeypatch,
-                                                 held=params is LASSO_HELD)
+    # every tol = 0 solve here (the strong one too) and lasso-1 at its
+    # default tol may hold
+    held = params.get("tol") == 0.0 or params is LASSO_HELD
+    new, iters, moved = _check_against_reference(entry, params, monkeypatch, held=held)
     if params is FIXED_POINT:
         assert 0 in iters
     if params is SAFEGUARD:
         assert "gamma-safeguard" in new[5]
-    if params is STRONG or params is LASSO_HELD:
-        # the strong hold first engages at sweep 95
+    if held:
+        # and each holds somewhere; the strong hold first engages at sweep 95
         assert any(moved)
 
 

@@ -76,6 +76,13 @@ def test_gen_qp_rejects_bad_mu(mu):
         gen_qp(1, m=2, mu=mu)
 
 
+@pytest.mark.parametrize("mu", [True, "0.5"])
+def test_gen_qp_refuses_a_mu_that_is_no_real(mu):
+    # True used to build qp-1-m2-mu1, and "0.5" qp-1-m2-mu0.5
+    with pytest.raises(ConfigError, match="mu must be a real number"):
+        gen_qp(1, m=2, mu=mu)
+
+
 def test_qp_reference_certified():
     entry = gen_qp(85, m=3)
     assert entry.reference.kkt <= 1e-9
@@ -270,6 +277,16 @@ def test_gaussian_kernel_properties():
 def test_separable_blur_rejects_inexact_or_nonfinite_kernels(kernel, match):
     with pytest.raises(ConfigError, match=match):
         SeparableBlur(8, np.array(kernel))
+
+
+@pytest.mark.parametrize("radius", [1.5, 2.0, "2", True, 0])
+def test_gaussian_kernel_refuses_a_radius_that_is_no_count(radius):
+    # 1.5 used to build a 4-tap kernel that failed later as "blur kernel
+    # must have odd length", naming neither argument
+    with pytest.raises(ConfigError, match="radius must be an integer"):
+        gaussian_kernel(0.8, radius)
+    with pytest.raises(ConfigError, match="radius must be an integer"):
+        gen_imaging(0, side=16, blur_radius=radius)
 
 
 def test_gaussian_kernel_rejects_nan_sigma():
